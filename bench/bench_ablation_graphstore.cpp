@@ -3,12 +3,19 @@
 // to handle the increased volume"); this bench measures PROV-document
 // ingest and lineage traversal latency as document size grows.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+#include <unistd.h>
 
+#include <filesystem>
+
+#include "provml/core/run.hpp"
 #include "provml/explorer/lineage.hpp"
 #include "provml/graphstore/graph.hpp"
 #include "provml/graphstore/ingest.hpp"
 #include "provml/graphstore/query.hpp"
+#include "provml/graphstore/service.hpp"
 #include "provml/prov/model.hpp"
+#include "provml/prov/prov_json.hpp"
 
 namespace {
 
@@ -199,6 +206,97 @@ void BM_QueryParse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueryParse);
+
+/// Heap bytes in use, mmapped blocks included (glibc sums every arena).
+double heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
+
+/// `runs` training-run documents shaped like a hyperparameter sweep's:
+/// 40 input parameters, three epochs of step-level loss and learning rate
+/// plus a validation loss, a checkpoint artifact and the final loss.
+std::vector<prov::Document> sweep_documents(std::size_t runs) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("provml_footprint_" + std::to_string(::getpid()));
+  std::vector<prov::Document> docs;
+  docs.reserve(runs);
+  for (std::size_t r = 0; r < runs; ++r) {
+    core::Experiment experiment("sweep_" + std::to_string(r % 16));
+    core::RunOptions options;
+    options.provenance_dir = (dir / std::to_string(r)).string();
+    options.metric_store = "json";
+    options.pretty_json = false;
+    core::Run& run = experiment.start_run(options, "run_" + std::to_string(r));
+    run.log_param("devices", static_cast<std::int64_t>(8 << (r % 5)));
+    run.log_param("parameters", static_cast<std::int64_t>(100'000'000 * (1 + r % 4)));
+    for (int p = 0; p < 38; ++p) {
+      run.log_param("hp_" + std::to_string(p), 1e-4 * static_cast<double>((r * 31 + p) % 997));
+    }
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      run.begin_epoch(core::contexts::kTraining, epoch);
+      for (int step = 0; step < 40; ++step) {
+        const std::int64_t at = epoch * 40 + step;
+        run.log_metric("loss", 2.0 / (1.0 + static_cast<double>(at)), at,
+                       core::contexts::kTraining);
+        run.log_metric("learning_rate", 1e-4, at, core::contexts::kTraining);
+      }
+      run.log_metric("val_loss", 1.0 / (1.0 + epoch), epoch, core::contexts::kValidation);
+      run.end_epoch(core::contexts::kTraining, epoch);
+    }
+    run.log_artifact("ckpt_" + std::to_string(r), "ckpt/" + std::to_string(r) + ".pt",
+                     core::IoRole::kOutput, core::contexts::kTraining);
+    run.log_param("final_loss", 0.05, core::IoRole::kOutput);
+    if (run.finish().ok()) docs.push_back(run.document());
+  }
+  std::filesystem::remove_all(dir);
+  return docs;
+}
+
+/// Heap cost of one stored document: the mallinfo2 delta of putting
+/// `range(0)` sweep documents into a fresh service (its graph and its
+/// stored copy), divided by the count. graph_bytes_per_doc is the same
+/// delta for the documents' subgraphs alone; doc_bytes_per_doc is the mean
+/// size of their compact PROV-JSON.
+void BM_DocumentFootprint(benchmark::State& state) {
+  const std::vector<prov::Document> docs =
+      sweep_documents(static_cast<std::size_t>(state.range(0)));
+  double doc_bytes = 0;
+  for (const prov::Document& doc : docs) {
+    doc_bytes += static_cast<double>(prov::to_prov_json_string(doc, false).size());
+  }
+  double service_bytes = 0;
+  double graph_bytes = 0;
+  for (auto _ : state) {
+    {
+      const double before = heap_in_use();
+      graphstore::YProvService service;
+      for (std::size_t i = 0; i < docs.size(); ++i) {
+        if (!service.put_document("run_" + std::to_string(i), docs[i]).ok()) {
+          state.SkipWithError("put_document failed");
+          return;
+        }
+      }
+      service_bytes = heap_in_use() - before;
+      benchmark::DoNotOptimize(service.document_count());
+    }
+    {
+      const double before = heap_in_use();
+      graphstore::PropertyGraph graph;
+      graphstore::preintern_prov_vocabulary(graph);
+      for (std::size_t i = 0; i < docs.size(); ++i) {
+        (void)graphstore::ingest_document(graph, docs[i], "run_" + std::to_string(i));
+      }
+      graph_bytes = heap_in_use() - before;
+      benchmark::DoNotOptimize(graph.node_count());
+    }
+  }
+  const double n = static_cast<double>(docs.size());
+  state.counters["heap_bytes_per_doc"] = service_bytes / n;
+  state.counters["graph_bytes_per_doc"] = graph_bytes / n;
+  state.counters["doc_bytes_per_doc"] = doc_bytes / n;
+}
+BENCHMARK(BM_DocumentFootprint)->Arg(1000)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

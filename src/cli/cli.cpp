@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "provml/common/strings.hpp"
 #include "provml/compress/container.hpp"
@@ -168,8 +169,8 @@ int cmd_ingest(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     auto loaded = graphstore::YProvService::load(store_dir);
     if (!loaded.ok()) return fail(err, loaded.error().to_string());
     for (const std::string& name : loaded.value().list_documents()) {
-      const prov::Document* doc = loaded.value().get_document(name);
-      if (doc == nullptr) continue;
+      const std::optional<prov::Document> doc = loaded.value().get_document(name);
+      if (!doc.has_value()) continue;
       Status s = service.put_document(name, *doc);
       if (!s.ok()) return fail(err, s.error().to_string());
     }
@@ -377,8 +378,8 @@ Expected<analysis::RunDatabase> load_run_database(const std::string& store_dir) 
   if (!service.ok()) return service.error();
   analysis::RunDatabase db;
   for (const std::string& name : service.value().list_documents()) {
-    const prov::Document* doc = service.value().get_document(name);
-    if (doc == nullptr) continue;
+    const std::optional<prov::Document> doc = service.value().get_document(name);
+    if (!doc.has_value()) continue;
     // Skip documents that are not run documents rather than failing.
     (void)db.add_document(*doc);
   }

@@ -54,7 +54,9 @@ class MatchFinder {
     std::size_t candidate = head_[h];
     std::size_t chain = 0;
     while (candidate != kNoPos && chain < kMaxChainLength) {
-      if (pos - candidate > kWindowSize) break;  // chains are position-ordered
+      // Chains are position-ordered. The 16-bit offset field holds
+      // distances up to kWindowSize - 1 (kWindowSize would encode as 0).
+      if (pos - candidate >= kWindowSize) break;
       const std::uint8_t* a = data_.data() + pos;
       const std::uint8_t* b = data_.data() + candidate;
       std::size_t len = 0;

@@ -46,6 +46,23 @@ std::size_t hash_value(const json::Value& v) {
   return seed;
 }
 
+/// Adds `id` to ascending postings. Ingest allocates ids in ascending
+/// order within a shard, so this is an append except when set_property
+/// re-indexes an older node.
+void insert_posting(std::vector<NodeId>& postings, NodeId id) {
+  if (postings.empty() || postings.back() < id) {
+    postings.push_back(id);
+    return;
+  }
+  const auto it = std::lower_bound(postings.begin(), postings.end(), id);
+  if (it == postings.end() || *it != id) postings.insert(it, id);
+}
+
+void erase_posting(std::vector<NodeId>& postings, NodeId id) {
+  const auto it = std::lower_bound(postings.begin(), postings.end(), id);
+  if (it != postings.end() && *it == id) postings.erase(it);
+}
+
 std::uint64_t fnv1a64(const std::string& s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const unsigned char c : s) {
@@ -141,9 +158,9 @@ void PropertyGraph::index_node(Shard& shard, const Node& n) {
   for (const std::string& label : n.labels) {
     const LabelId lid = intern_label(label);
     if (shard.label_index.size() <= lid) shard.label_index.resize(lid + 1);
-    shard.label_index[lid].insert(n.id);
+    insert_posting(shard.label_index[lid], n.id);
     for (const auto& [key, value] : n.properties) {
-      shard.prop_index[PropKey{lid, key, value}].insert(n.id);
+      insert_posting(shard.prop_index[PropKey{lid, key, value}], n.id);
     }
   }
 }
@@ -152,11 +169,11 @@ void PropertyGraph::unindex_node(Shard& shard, const Node& n) {
   for (const std::string& label : n.labels) {
     const std::optional<LabelId> lid = label_id(label);
     if (!lid) continue;
-    if (*lid < shard.label_index.size()) shard.label_index[*lid].erase(n.id);
+    if (*lid < shard.label_index.size()) erase_posting(shard.label_index[*lid], n.id);
     for (const auto& [key, value] : n.properties) {
       const auto it = shard.prop_index.find(PropKey{*lid, key, value});
       if (it != shard.prop_index.end()) {
-        it->second.erase(n.id);
+        erase_posting(it->second, n.id);
         if (it->second.empty()) shard.prop_index.erase(it);
       }
     }
@@ -187,12 +204,8 @@ Expected<EdgeId> PropertyGraph::add_edge(NodeId from, NodeId to, std::string typ
   if (sf.type_counts.size() <= tid) sf.type_counts.resize(tid + 1, 0);
   ++sf.type_counts[tid];
   sf.edges.emplace(id, Edge{id, from, to, std::move(type), std::move(properties)});
-  Adjacency& out = sf.out[from];
-  out.all.push_back(id);
-  out.by_type[tid].push_back(id);
-  Adjacency& in = st.in[to];
-  in.all.push_back(id);
-  in.by_type[tid].push_back(id);
+  sf.out[from].push_back({tid, id});
+  st.in[to].push_back({tid, id});
   return id;
 }
 
@@ -204,16 +217,10 @@ void PropertyGraph::unlink_edge(const Edge& e) {
   auto drop = [&](std::unordered_map<NodeId, Adjacency>& table, NodeId node) {
     const auto it = table.find(node);
     if (it == table.end()) return;
-    auto& all = it->second.all;
-    all.erase(std::remove(all.begin(), all.end(), e.id), all.end());
-    if (tid) {
-      const auto bucket = it->second.by_type.find(*tid);
-      if (bucket != it->second.by_type.end()) {
-        auto& vec = bucket->second;
-        vec.erase(std::remove(vec.begin(), vec.end(), e.id), vec.end());
-        if (vec.empty()) it->second.by_type.erase(bucket);
-      }
-    }
+    Adjacency& adj = it->second;
+    adj.erase(std::remove_if(adj.begin(), adj.end(),
+                             [&](const AdjacentEdge& a) { return a.edge == e.id; }),
+              adj.end());
   };
   drop(sf.out, e.from);
   drop(st.in, e.to);
@@ -299,7 +306,7 @@ std::vector<NodeId> PropertyGraph::nodes_with_label(const std::string& label) co
   std::vector<NodeId> out;
   for (const Shard& s : shards_) {
     if (*lid >= s.label_index.size()) continue;
-    const std::set<NodeId>& postings = s.label_index[*lid];
+    const Postings& postings = s.label_index[*lid];
     out.insert(out.end(), postings.begin(), postings.end());
   }
   std::sort(out.begin(), out.end());
@@ -341,7 +348,7 @@ std::optional<NodeId> PropertyGraph::find_one(const std::string& label, const st
   for (const Shard& s : shards_) {
     const auto it = s.prop_index.find(probe);
     if (it == s.prop_index.end() || it->second.empty()) continue;
-    const NodeId first = *it->second.begin();
+    const NodeId first = it->second.front();
     if (!best || first < *best) best = first;
   }
   return best;
@@ -390,24 +397,23 @@ const PropertyGraph::Adjacency* PropertyGraph::adjacency(NodeId id, bool outgoin
 std::size_t PropertyGraph::degree(NodeId id, Direction dir) const {
   std::size_t n = 0;
   if (dir == Direction::kOut || dir == Direction::kBoth) {
-    if (const Adjacency* adj = adjacency(id, true)) n += adj->all.size();
+    if (const Adjacency* adj = adjacency(id, true)) n += adj->size();
   }
   if (dir == Direction::kIn || dir == Direction::kBoth) {
-    if (const Adjacency* adj = adjacency(id, false)) n += adj->all.size();
+    if (const Adjacency* adj = adjacency(id, false)) n += adj->size();
   }
   return n;
 }
 
 std::vector<EdgeId> PropertyGraph::edges_of(NodeId id, Direction dir) const {
   std::vector<EdgeId> result;
-  if (dir == Direction::kOut || dir == Direction::kBoth) {
-    if (const Adjacency* adj = adjacency(id, true))
-      result.insert(result.end(), adj->all.begin(), adj->all.end());
-  }
-  if (dir == Direction::kIn || dir == Direction::kBoth) {
-    if (const Adjacency* adj = adjacency(id, false))
-      result.insert(result.end(), adj->all.begin(), adj->all.end());
-  }
+  auto collect = [&](bool outgoing) {
+    const Adjacency* adj = adjacency(id, outgoing);
+    if (adj == nullptr) return;
+    for (const AdjacentEdge& a : *adj) result.push_back(a.edge);
+  };
+  if (dir == Direction::kOut || dir == Direction::kBoth) collect(true);
+  if (dir == Direction::kIn || dir == Direction::kBoth) collect(false);
   return result;
 }
 
@@ -426,10 +432,9 @@ std::vector<NodeId> PropertyGraph::neighbors(NodeId id, Direction dir,
   auto walk = [&](bool outgoing) {
     const Adjacency* adj = adjacency(id, outgoing);
     if (adj == nullptr) return;
-    const auto bucket = adj->by_type.find(*tid);
-    if (bucket == adj->by_type.end()) return;
-    for (const EdgeId eid : bucket->second) {
-      const Edge* e = edge(eid);
+    for (const AdjacentEdge& a : *adj) {
+      if (a.type != *tid) continue;
+      const Edge* e = edge(a.edge);
       result.push_back(outgoing ? e->to : e->from);
     }
   };

@@ -28,9 +28,14 @@
 // reader/writer lock, so cross-shard writers may intern concurrently.
 //
 // Labels and edge types are interned to small integer ids, every label
-// keeps a posting list of its nodes per shard, adjacency is bucketed per
-// edge type, and the equality index is keyed on a structured
-// (label_id, key, value) tuple — no string concatenation on any lookup.
+// keeps a posting list of its nodes per shard, and the equality index is
+// keyed on a structured (label_id, key, value) tuple — no string
+// concatenation on any lookup. Posting lists are sorted flat vectors: ids
+// grow within a shard, so ingest only appends, and the rare out-of-order
+// insert (set_property on an older node) or removal binary-searches. Each
+// node's adjacency is one insertion-ordered vector of (edge type, edge id)
+// per direction; a typed lookup filters it. Both keep the heap cost of a
+// stored document close to the size of its own data.
 // Posting-list sizes aggregate across shards behind the same O(shards)
 // planner API (`count_with_label` & co.), so the query planner and both
 // matchers are unaffected by the partitioning.
@@ -168,8 +173,8 @@ class PropertyGraph {
   /// for kBoth).
   [[nodiscard]] std::vector<EdgeId> edges_of(NodeId id, Direction dir) const;
 
-  /// Adjacent node ids (optionally restricted to one edge type). A typed
-  /// request reads the per-type adjacency bucket directly.
+  /// Adjacent node ids (optionally restricted to one edge type), in edge
+  /// insertion order (out before in for kBoth).
   [[nodiscard]] std::vector<NodeId> neighbors(NodeId id, Direction dir,
                                               const std::string& edge_type = "") const;
 
@@ -203,12 +208,15 @@ class PropertyGraph {
     std::size_t operator()(const PropKey& k) const;
   };
 
-  /// Per-node incident edges for one direction: the full insertion-order
-  /// list plus per-edge-type buckets (each bucket insertion-ordered).
-  struct Adjacency {
-    std::vector<EdgeId> all;
-    std::unordered_map<TypeId, std::vector<EdgeId>> by_type;
+  /// One incident edge of a node, tagged with its interned type.
+  struct AdjacentEdge {
+    TypeId type = 0;
+    EdgeId edge = 0;
   };
+  /// A node's incident edges in one direction, insertion order.
+  using Adjacency = std::vector<AdjacentEdge>;
+  /// Node ids, ascending and unique.
+  using Postings = std::vector<NodeId>;
 
   /// One partition: every table a mutator of this shard touches. No locks
   /// here — the caller stripes access per shard.
@@ -217,9 +225,9 @@ class PropertyGraph {
     std::unordered_map<EdgeId, Edge> edges;
     std::unordered_map<NodeId, Adjacency> out;
     std::unordered_map<NodeId, Adjacency> in;
-    std::vector<std::set<NodeId>> label_index;  ///< postings by LabelId
-    std::vector<std::size_t> type_counts;       ///< live-edge counts by TypeId
-    std::unordered_map<PropKey, std::set<NodeId>, PropKeyHash> prop_index;
+    std::vector<Postings> label_index;     ///< postings by LabelId
+    std::vector<std::size_t> type_counts;  ///< live-edge counts by TypeId
+    std::unordered_map<PropKey, Postings, PropKeyHash> prop_index;
     NodeId next_node = 1;  ///< per-shard sequence (low bits carry the shard)
     EdgeId next_edge = 1;
   };

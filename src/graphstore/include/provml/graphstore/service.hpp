@@ -22,9 +22,16 @@
 // take stripes in the same canonical ascending order, so the waits-for
 // graph cannot contain a cycle. Every successful mutation bumps one
 // monotonic graph version (a single atomic, independent of sharding),
-// which HTTP front-ends use as a response cache key. The
-// pointer/reference accessors (get_document(), graph()) bypass the locks
-// and are for single-threaded embedders or setup/teardown.
+// which HTTP front-ends use as a response cache key. The reference
+// accessor graph() bypasses the locks and is for single-threaded
+// embedders or setup/teardown.
+//
+// Storage: each document is held once, as its canonical compact PROV-JSON
+// bytes (`to_prov_json_string(doc, false)`) beside its subgraph. A PUT
+// parses, validates and serializes its body before taking the stripe;
+// under the stripe it only ingests, logs those same bytes and stores
+// them. GET and save() hand the bytes out verbatim; get_document() and
+// the rollback paths re-parse them on demand.
 //
 // Bulk ingest (put_documents) holds all stripes exclusively, pre-interns
 // the PROV vocabulary serially, then fans per-shard document batches out
@@ -107,10 +114,11 @@ class YProvService {
   /// document's exclusive stripe lock.
   [[nodiscard]] Response handle(const Request& request);
 
-  // Direct (non-HTTP) API used by the CLI and embedders. put/delete/list/
-  // count lock internally; the pointer/reference accessors do not.
+  // Direct (non-HTTP) API used by the CLI and embedders. All of it locks
+  // internally.
   [[nodiscard]] Status put_document(const std::string& name, const prov::Document& doc);
-  [[nodiscard]] const prov::Document* get_document(const std::string& name) const;
+  /// The stored document, parsed from its bytes; nullopt when absent.
+  [[nodiscard]] std::optional<prov::Document> get_document(const std::string& name) const;
   [[nodiscard]] bool delete_document(const std::string& name);
   [[nodiscard]] std::vector<std::string> list_documents() const;
   [[nodiscard]] std::size_t document_count() const;
@@ -214,16 +222,27 @@ class YProvService {
                                       const std::string& token) const;
   /// Drops cursors past their TTL. Caller holds cursor_mutex_.
   void reap_cursors_locked(std::chrono::steady_clock::time_point now);
-  Status put_document_impl(const std::string& name, const prov::Document& doc);
+  /// PUT /api/v0/documents/<name>: parses `body` unlocked, then applies
+  /// it through put_document().
+  Response put_route(const std::string& name, const std::string& body);
+  /// Applies `doc`, whose canonical bytes are `body`. Caller holds the
+  /// document's stripe exclusively.
+  Status put_document_impl(const std::string& name, const prov::Document& doc,
+                           std::string body);
+  /// Puts back a document that a failed mutation displaced: `body` into
+  /// the map and, re-parsed from it, its nodes into the graph.
+  void restore_document(const std::string& name, std::string body);
   Expected<bool> delete_document_impl(const std::string& name);
-  /// Re-ingests every stored document into a fresh graph, one ThreadPool
-  /// task per shard. Caller holds every stripe exclusively.
-  void rebuild_graph();
+  /// Parses and re-ingests every stored document into a fresh graph, one
+  /// ThreadPool task per shard. Caller holds every stripe exclusively. On
+  /// a document that does not parse, keeps the old graph and fails.
+  [[nodiscard]] Status rebuild_graph();
   void bump_version() { version_.fetch_add(1, std::memory_order_acq_rel); }
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::atomic<std::uint64_t> version_{0};
-  std::vector<std::map<std::string, prov::Document>> documents_;  ///< per shard
+  /// Per shard: name → canonical compact PROV-JSON bytes.
+  std::vector<std::map<std::string, std::string>> documents_;
   PropertyGraph graph_;
   std::unique_ptr<wal::DurableStore> wal_;
 

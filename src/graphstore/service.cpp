@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <string_view>
 #include <utility>
 
 #include "provml/common/strings.hpp"
@@ -86,6 +87,13 @@ json::Value row_object(const PropertyGraph& graph,
   return json::Value(std::move(row_json));
 }
 
+/// Parses stored (or PUT) PROV-JSON bytes into a document.
+Expected<prov::Document> parse_prov_json(std::string_view body) {
+  Expected<json::Value> parsed = json::parse(body);
+  if (!parsed.ok()) return parsed.error();
+  return prov::from_prov_json(parsed.value());
+}
+
 json::Value edge_summary(const PropertyGraph& graph, const Edge& e, bool outgoing) {
   json::Object obj;
   obj.set("type", e.type);
@@ -149,86 +157,114 @@ std::vector<std::unique_lock<std::shared_mutex>> YProvService::lock_all_exclusiv
 }
 
 Status YProvService::put_document(const std::string& name, const prov::Document& doc) {
+  std::string body = prov::to_prov_json_string(doc, /*pretty=*/false);
   Stripe& stripe = *stripes_[shard_for(name)];
   const std::unique_lock lock(stripe.mutex);
   stripe.writer_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  return put_document_impl(name, doc);
+  return put_document_impl(name, doc, std::move(body));
 }
 
-Status YProvService::put_document_impl(const std::string& name, const prov::Document& doc) {
+Status YProvService::put_document_impl(const std::string& name, const prov::Document& doc,
+                                       std::string body) {
   if (name.empty() || name.find('/') != std::string::npos) {
     return Error{"invalid document name", name};
   }
-  // Apply in memory first (ingest can reject the document), log second,
-  // acknowledge last. A failure rolls the memory state back, so the log
-  // holds exactly the acknowledged mutations — never more. Everything here
-  // touches only the document's home shard.
-  std::map<std::string, prov::Document>& docs = documents_[shard_for(name)];
-  const auto it = docs.find(name);
-  const bool replacing = it != docs.end();
-  std::optional<prov::Document> previous;
-  if (replacing) {
+  // Apply to the graph first (ingest can reject the document), log second,
+  // store and acknowledge last. A failure puts the previous document back,
+  // so the log holds exactly the acknowledged mutations — never more.
+  // Everything here touches only the document's home shard.
+  std::map<std::string, std::string>& docs = documents_[shard_for(name)];
+  std::optional<std::string> previous;
+  if (const auto it = docs.find(name); it != docs.end()) {
     previous = std::move(it->second);
+    docs.erase(it);
     remove_document(graph_, name);  // replace semantics: drop the old nodes
   }
-  docs[name] = doc;
-  auto restore = [&] {
+  auto rollback = [&] {
     remove_document(graph_, name);  // sweep any partially ingested nodes
-    docs.erase(name);
-    if (replacing) {
-      docs[name] = std::move(*previous);
-      // The previous body ingested successfully once; re-ingest restores it.
-      (void)ingest_document(graph_, docs[name], name);
-    }
+    if (previous.has_value()) restore_document(name, std::move(*previous));
   };
   Expected<IngestStats> stats = ingest_document(graph_, doc, name);
   if (!stats.ok()) {
-    restore();
+    rollback();
     return stats.error();
   }
   if (wal_ != nullptr) {
-    Expected<wal::Lsn> lsn = wal_->append(
-        {wal::Record::Type::kPutDocument, name,
-         prov::to_prov_json_string(doc, /*pretty=*/false)});
+    // The record borrows the bytes for the append and hands them back.
+    wal::Record record{wal::Record::Type::kPutDocument, name, std::move(body)};
+    Expected<wal::Lsn> lsn = wal_->append(record);
+    body = std::move(record.body);
     if (!lsn.ok()) {
-      restore();
+      rollback();
       return wal_error(lsn.error());
     }
   }
+  docs.emplace(name, std::move(body));
   bump_version();
   return Status::ok_status();
 }
 
-void YProvService::rebuild_graph() {
+void YProvService::restore_document(const std::string& name, std::string body) {
+  // The bytes parsed and ingested successfully once, so neither step fails.
+  Expected<prov::Document> doc = parse_prov_json(body);
+  if (doc.ok()) (void)ingest_document(graph_, doc.value(), name);
+  documents_[shard_for(name)][name] = std::move(body);
+}
+
+Status YProvService::rebuild_graph() {
   PropertyGraph fresh{shard_count()};
   preintern_prov_vocabulary(fresh);
-  if (shard_count() == 1) {
-    for (const auto& [name, doc] : documents_[0]) {
+  // Each shard's documents touch only that graph shard (documents are
+  // placed by shard_for_scope), so shards rebuild without locking.
+  std::vector<Status> outcomes(shard_count());
+  auto rebuild_shard = [this, &fresh, &outcomes](std::size_t s) {
+    for (const auto& [name, body] : documents_[s]) {
+      Expected<json::Value> parsed = json::parse(body);
+      if (!parsed.ok()) {
+        outcomes[s] = Error{"wal-recovered document does not parse: " +
+                                parsed.error().message,
+                            name};
+        return;
+      }
+      Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
+      if (!doc.ok()) {
+        outcomes[s] = Error{"wal-recovered document is not PROV-JSON: " +
+                                doc.error().message,
+                            name};
+        return;
+      }
       // Stored documents ingested successfully once; a failure here would
       // indicate internal inconsistency, so drop the offender quietly.
-      (void)ingest_document(fresh, doc, name);
+      (void)ingest_document(fresh, doc.value(), name);
     }
+  };
+  if (shard_count() == 1) {
+    rebuild_shard(0);
   } else {
-    // One task per shard: each touches only its own graph shard (documents
-    // are placed by shard_for_scope), so the tasks need no locking.
     std::vector<std::future<void>> done;
     done.reserve(shard_count());
     for (std::size_t s = 0; s < shard_count(); ++s) {
-      done.push_back(common::ThreadPool::shared().submit([this, &fresh, s] {
-        for (const auto& [name, doc] : documents_[s]) {
-          (void)ingest_document(fresh, doc, name);
-        }
+      done.push_back(common::ThreadPool::shared().submit([&rebuild_shard, s] {
+        rebuild_shard(s);
       }));
     }
     for (std::future<void>& f : done) f.get();
   }
+  for (const Status& outcome : outcomes) {
+    if (!outcome.ok()) return outcome;
+  }
   graph_ = std::move(fresh);
+  return Status::ok_status();
 }
 
-const prov::Document* YProvService::get_document(const std::string& name) const {
-  const std::map<std::string, prov::Document>& docs = documents_[shard_for(name)];
-  const auto it = docs.find(name);
-  return it == docs.end() ? nullptr : &it->second;
+std::optional<prov::Document> YProvService::get_document(const std::string& name) const {
+  const std::size_t shard = shard_for(name);
+  const std::shared_lock lock(stripes_[shard]->mutex);
+  const auto it = documents_[shard].find(name);
+  if (it == documents_[shard].end()) return std::nullopt;
+  Expected<prov::Document> doc = parse_prov_json(it->second);
+  if (!doc.ok()) return std::nullopt;
+  return std::move(doc.value());
 }
 
 bool YProvService::delete_document(const std::string& name) {
@@ -240,7 +276,7 @@ bool YProvService::delete_document(const std::string& name) {
 }
 
 Expected<bool> YProvService::delete_document_impl(const std::string& name) {
-  std::map<std::string, prov::Document>& docs = documents_[shard_for(name)];
+  std::map<std::string, std::string>& docs = documents_[shard_for(name)];
   if (docs.count(name) == 0) return false;
   // Deletion of a present document cannot fail in memory, so the record
   // can be logged first — no rollback path needed.
@@ -301,7 +337,7 @@ Expected<IngestStats> YProvService::put_documents(
   // rollback) and stops its shard at the first failure.
   struct Applied {
     std::size_t index;
-    std::optional<prov::Document> previous;  ///< set when replacing
+    std::optional<std::string> previous;  ///< the replaced document's bytes
   };
   struct ShardOutcome {
     IngestStats stats;
@@ -309,29 +345,29 @@ Expected<IngestStats> YProvService::put_documents(
     std::optional<Error> error;
   };
   std::vector<ShardOutcome> outcomes(shard_count());
+  std::vector<std::string> bodies(docs.size());  ///< canonical bytes by input index
   auto apply_shard = [&](std::size_t s) {
     ShardOutcome& outcome = outcomes[s];
     for (const std::size_t i : by_shard[s]) {
       const auto& [name, doc] = docs[i];
-      std::map<std::string, prov::Document>& shard_docs = documents_[s];
-      const auto it = shard_docs.find(name);
+      std::map<std::string, std::string>& shard_docs = documents_[s];
       Applied applied{i, std::nullopt};
-      if (it != shard_docs.end()) {
+      if (const auto it = shard_docs.find(name); it != shard_docs.end()) {
         applied.previous = std::move(it->second);
+        shard_docs.erase(it);
         remove_document(graph_, name);
       }
-      shard_docs[name] = doc;
       Expected<IngestStats> stats = ingest_document(graph_, doc, name);
       if (!stats.ok()) {
         remove_document(graph_, name);
-        shard_docs.erase(name);
         if (applied.previous.has_value()) {
-          shard_docs[name] = std::move(*applied.previous);
-          (void)ingest_document(graph_, shard_docs[name], name);
+          restore_document(name, std::move(*applied.previous));
         }
         outcome.error = stats.error();
         return;
       }
+      bodies[i] = prov::to_prov_json_string(doc, /*pretty=*/false);
+      shard_docs[name] = bodies[i];
       outcome.stats.nodes_added += stats.value().nodes_added;
       outcome.stats.edges_added += stats.value().edges_added;
       outcome.stats.elements_merged += stats.value().elements_merged;
@@ -350,23 +386,23 @@ Expected<IngestStats> YProvService::put_documents(
   for (std::future<void>& f : done) f.get();
 
   // Undoes one applied document: removes it and restores what it replaced.
-  auto undo = [&](const Applied& applied) {
+  auto undo = [&](Applied& applied) {
     const std::string& name = docs[applied.index].first;
-    std::map<std::string, prov::Document>& shard_docs = documents_[shard_for(name)];
     remove_document(graph_, name);
-    shard_docs.erase(name);
+    documents_[shard_for(name)].erase(name);
     if (applied.previous.has_value()) {
-      shard_docs[name] = *applied.previous;
-      (void)ingest_document(graph_, shard_docs[name], name);
+      restore_document(name, std::move(*applied.previous));
     }
   };
 
   // Reduce: an ingest error anywhere rolls the whole batch back (nothing
-  // was logged yet), keeping batch semantics all-or-nothing.
+  // was logged yet), keeping batch semantics all-or-nothing. Each shard
+  // undoes newest first, so a name the batch repeats ends at its
+  // pre-batch bytes.
   for (const ShardOutcome& outcome : outcomes) {
     if (!outcome.error.has_value()) continue;
-    for (const ShardOutcome& o : outcomes) {
-      for (const Applied& applied : o.applied) undo(applied);
+    for (ShardOutcome& o : outcomes) {
+      for (auto it = o.applied.rbegin(); it != o.applied.rend(); ++it) undo(*it);
     }
     return *outcome.error;
   }
@@ -382,17 +418,16 @@ Expected<IngestStats> YProvService::put_documents(
   // WAL failure keeps the logged prefix applied (memory == log == what
   // recovery reproduces) and rolls back the unlogged suffix.
   if (wal_ != nullptr) {
-    std::vector<const Applied*> in_input_order;
-    for (const ShardOutcome& outcome : outcomes) {
-      for (const Applied& applied : outcome.applied) in_input_order.push_back(&applied);
+    std::vector<Applied*> in_input_order;
+    for (ShardOutcome& outcome : outcomes) {
+      for (Applied& applied : outcome.applied) in_input_order.push_back(&applied);
     }
     std::sort(in_input_order.begin(), in_input_order.end(),
               [](const Applied* a, const Applied* b) { return a->index < b->index; });
     for (std::size_t k = 0; k < in_input_order.size(); ++k) {
-      const auto& [name, doc] = docs[in_input_order[k]->index];
+      const std::size_t i = in_input_order[k]->index;
       Expected<wal::Lsn> lsn = wal_->append(
-          {wal::Record::Type::kPutDocument, name,
-           prov::to_prov_json_string(doc, /*pretty=*/false)});
+          {wal::Record::Type::kPutDocument, docs[i].first, std::move(bodies[i])});
       if (!lsn.ok()) {
         for (std::size_t j = in_input_order.size(); j-- > k;) {
           undo(*in_input_order[j]);
@@ -426,6 +461,7 @@ Response YProvService::handle(const Request& request) {
   // every stripe shared, in ascending (canonical) order.
   if (request.method == "PUT" || request.method == "DELETE") {
     if (const std::optional<std::string> name = write_target(request.path)) {
+      if (request.method == "PUT") return put_route(*name, request.body);
       Stripe& stripe = *stripes_[shard_for(*name)];
       const std::unique_lock lock(stripe.mutex);
       stripe.writer_acquisitions.fetch_add(1, std::memory_order_relaxed);
@@ -434,6 +470,18 @@ Response YProvService::handle(const Request& request) {
   }
   const auto locks = lock_all_shared();
   return route(request);
+}
+
+Response YProvService::put_route(const std::string& name, const std::string& body) {
+  // Parsing and validation read only the request, so they run before
+  // put_document() serializes (also unlocked) and takes the stripe.
+  Expected<prov::Document> doc = parse_prov_json(body);
+  if (!doc.ok()) return error_response(400, doc.error().to_string());
+  Status s = put_document(name, doc.value());
+  if (!s.ok()) {
+    return error_response(is_wal_error(s.error()) ? 500 : 400, s.error().to_string());
+  }
+  return Response{201, "{}", ""};
 }
 
 Response YProvService::route(const Request& request) {
@@ -515,23 +563,13 @@ Response YProvService::route(const Request& request) {
   const std::vector<std::string> parts = strings::split(rest, '/');
   const std::string& name = parts[0];
 
+  // A PUT here never reaches route(): handle() sends it to put_route().
   if (parts.size() == 1) {
-    if (request.method == "PUT") {
-      Expected<json::Value> parsed = json::parse(request.body);
-      if (!parsed.ok()) return error_response(400, parsed.error().to_string());
-      Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
-      if (!doc.ok()) return error_response(400, doc.error().to_string());
-      Status s = put_document_impl(name, doc.value());
-      if (!s.ok()) {
-        return error_response(is_wal_error(s.error()) ? 500 : 400,
-                              s.error().to_string());
-      }
-      return Response{201, "{}", ""};
-    }
     if (request.method == "GET") {
-      const prov::Document* doc = get_document(name);
-      if (doc == nullptr) return error_response(404, "document not found");
-      return Response{200, prov::to_prov_json_string(*doc, /*pretty=*/false), ""};
+      const std::map<std::string, std::string>& docs = documents_[shard_for(name)];
+      const auto it = docs.find(name);
+      if (it == docs.end()) return error_response(404, "document not found");
+      return Response{200, it->second, ""};
     }
     if (request.method == "DELETE") {
       const Expected<bool> deleted = delete_document_impl(name);
@@ -548,14 +586,9 @@ Response YProvService::route(const Request& request) {
   }
 
   if (parts.size() == 2 && parts[1] == "stats") {
-    std::size_t nodes = 0;
-    for (const NodeId id : graph_.nodes_with_label("Prov")) {
-      const json::Value* doc_prop = graph_.node(id)->properties.find("document");
-      if (doc_prop != nullptr && doc_prop->as_string() == name) ++nodes;
-    }
     json::Object body;
     body.set("document", name);
-    body.set("nodes", nodes);
+    body.set("nodes", graph_.count_with_property("Prov", "document", json::Value(name)));
     return Response{200, json::write(json::Value(std::move(body))), ""};
   }
 
@@ -756,20 +789,17 @@ Status YProvService::attach_wal(const std::string& dir, wal::Options options) {
   }
   Expected<std::unique_ptr<wal::DurableStore>> store = wal::DurableStore::open(dir, options);
   if (!store.ok()) return store.error();
-  for (auto& [name, body] : store.value()->recovered().documents) {
-    Expected<json::Value> parsed = json::parse(body);
-    if (!parsed.ok()) {
-      return Error{"wal-recovered document does not parse: " + parsed.error().message,
-                   name};
-    }
-    Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
-    if (!doc.ok()) {
-      return Error{"wal-recovered document is not PROV-JSON: " + doc.error().message,
-                   name};
-    }
-    documents_[shard_for(name)][name] = std::move(doc.value());
+  // Move the recovered bytes out of the store: the document maps keep the
+  // only copy.
+  std::map<std::string, std::string>& recovered = store.value()->recovered().documents;
+  while (!recovered.empty()) {
+    auto entry = recovered.extract(recovered.begin());
+    documents_[shard_for(entry.key())].insert(std::move(entry));
   }
-  rebuild_graph();
+  if (Status rebuilt = rebuild_graph(); !rebuilt.ok()) {
+    for (auto& docs : documents_) docs.clear();
+    return rebuilt;
+  }
   wal_ = std::move(store.value());
   bump_version();
   return Status::ok_status();
@@ -790,16 +820,11 @@ Status YProvService::wal_compact() {
 
 namespace {
 
-/// Serializes the in-memory per-shard document maps the way the WAL logs
-/// them, merged into one name-ordered map.
-std::map<std::string, std::string> serialize_documents(
-    const std::vector<std::map<std::string, prov::Document>>& documents) {
+/// Merges the per-shard document maps into one name-ordered map.
+std::map<std::string, std::string> merge_documents(
+    const std::vector<std::map<std::string, std::string>>& documents) {
   std::map<std::string, std::string> bodies;
-  for (const auto& shard_docs : documents) {
-    for (const auto& [name, doc] : shard_docs) {
-      bodies[name] = prov::to_prov_json_string(doc, /*pretty=*/false);
-    }
-  }
+  for (const auto& shard_docs : documents) bodies.insert(shard_docs.begin(), shard_docs.end());
   return bodies;
 }
 
@@ -813,7 +838,7 @@ Status YProvService::save(const std::string& dir) const {
     // same store just means folding the tail into a snapshot.
     return wal_->compact();
   }
-  return wal::replace_store(dir, serialize_documents(documents_));
+  return wal::replace_store(dir, merge_documents(documents_));
 }
 
 Expected<YProvService> YProvService::load(const std::string& dir) {
@@ -826,7 +851,8 @@ Expected<YProvService> YProvService::load(const std::string& dir) {
       if (!parsed.ok()) return Error{"stored document does not parse", name};
       Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
       if (!doc.ok()) return doc.error();
-      Status s = service.put_document(name, doc.value());
+      // The service is not shared yet, so no stripe needs taking.
+      Status s = service.put_document_impl(name, doc.value(), std::move(body));
       if (!s.ok()) return s.error();
     }
     return service;

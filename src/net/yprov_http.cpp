@@ -96,6 +96,7 @@ void YProvHttpApp::cache_store(CacheKey key, const CacheEntry& entry) {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   if (cache_map_.count(key) != 0) return;  // another worker raced us to it
   lru_.push_front(entry);
+  lru_.front().key = key;  // eviction erases the map entry by this key
   cache_map_.emplace(std::move(key), lru_.begin());
   while (lru_.size() > options_.cache_capacity) {
     cache_map_.erase(lru_.back().key);

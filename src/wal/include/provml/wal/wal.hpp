@@ -142,8 +142,9 @@ class DurableStore {
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
 
-  /// The state recovery produced at open(); documents are moved out by the
-  /// caller that hydrates a service from them.
+  /// The state recovery produced at open(). YProvService::attach_wal moves
+  /// the documents out when it hydrates from them, leaving the map empty,
+  /// so the service holds the only copy of each body.
   [[nodiscard]] RecoveredState& recovered() { return recovered_; }
 
   /// Appends one record, honoring the fsync policy, and returns its LSN.

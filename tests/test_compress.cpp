@@ -183,6 +183,19 @@ TEST(Lzss, OverlappingMatchExpandsCorrectly) {
   EXPECT_EQ(dec.value(), input);
 }
 
+TEST(Lzss, RepeatAtExactlyTheWindowDistanceRoundTrips) {
+  // A 300-byte block repeated 64 KiB later: the 16-bit offset field cannot
+  // encode that distance, so the encoder must not emit it as a match.
+  std::mt19937 gen(7);
+  Bytes input(65536 + 300);
+  for (std::size_t i = 0; i < 65536; ++i) input[i] = static_cast<std::uint8_t>(gen());
+  std::copy(input.begin(), input.begin() + 300, input.begin() + 65536);
+  LzssCodec lzss;
+  const auto dec = lzss.decode(lzss.encode(input), input.size());
+  ASSERT_TRUE(dec.ok()) << dec.error().to_string();
+  EXPECT_EQ(dec.value(), input);
+}
+
 TEST(Lzss, EmptyAndTinyInputs) {
   LzssCodec lzss;
   EXPECT_TRUE(lzss.decode(lzss.encode({}), 0).ok());

@@ -290,6 +290,39 @@ TEST(HttpAppCache, VersionKeyNeverServesStaleBody) {
   EXPECT_NE(after, before);  // version bumped: old cache entry unreachable
 }
 
+TEST(HttpAppCache, EvictedEntryIsAMissThatServesTheRightBody) {
+  net::YProvHttpApp::Options options;
+  options.cache_capacity = 2;
+  net::YProvHttpApp app(options);
+  Rng rng(51);
+  const std::vector<std::string> names{"a", "b", "c"};
+  for (const std::string& name : names) {
+    net::HttpRequest put;
+    put.method = "PUT";
+    put.target = "/api/v0/documents/" + name;
+    put.body = put_body(rng);
+    ASSERT_EQ(app.handle(put).status, 201);
+  }
+  // Three GETs at one version into two slots: caching "c" evicts "a".
+  std::vector<std::string> bodies;
+  for (const std::string& name : names) {
+    net::HttpRequest get;
+    get.method = "GET";
+    get.target = "/api/v0/documents/" + name;
+    bodies.push_back(app.handle(get).body);
+  }
+  EXPECT_EQ(app.counters().cache_misses, 3u);
+
+  net::HttpRequest again;
+  again.method = "GET";
+  again.target = "/api/v0/documents/a";
+  const net::HttpResponse r = app.handle(again);
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(r.body, bodies[0]);
+  EXPECT_EQ(app.counters().cache_hits, 0u);
+  EXPECT_EQ(app.counters().cache_misses, 4u);
+}
+
 TEST(HttpAppCache, ZeroCapacityDisablesCaching) {
   net::YProvHttpApp::Options options;
   options.cache_capacity = 0;

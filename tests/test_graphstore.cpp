@@ -30,6 +30,15 @@ prov::Document training_doc() {
   return doc;
 }
 
+/// A relation whose activity is never declared: ingest rejects it.
+prov::Document dangling_doc() {
+  prov::Document doc;
+  doc.declare_namespace("ex", "http://example.org/");
+  doc.add_entity("ex:only");
+  doc.used("ex:ghost-activity", "ex:only");
+  return doc;
+}
+
 // ------------------------------------------------------------------- graph
 
 TEST(Graph, AddAndLookupNodes) {
@@ -106,6 +115,51 @@ TEST(Graph, NeighborsRespectDirectionAndType) {
   EXPECT_EQ(g.neighbors(a, Direction::kIn), (std::vector<NodeId>{c}));
   EXPECT_EQ(g.neighbors(a, Direction::kBoth).size(), 2u);
   EXPECT_EQ(g.neighbors(a, Direction::kBoth, "used"), (std::vector<NodeId>{b}));
+}
+
+TEST(Graph, PostingsStayAscendingAfterReindexAndRemoval) {
+  PropertyGraph g;
+  const NodeId a = g.add_node({"N"}, json::make_object({{"k", 1}}));
+  const NodeId b = g.add_node({"N"}, json::make_object({{"k", 1}}));
+  const NodeId c = g.add_node({"N"}, json::make_object({{"k", 1}}));
+  const json::Value one(1);
+  g.set_property(a, "k", json::Value(2));
+  EXPECT_EQ(g.find_in_shard(0, "N", "k", one), (std::vector<NodeId>{b, c}));
+  // Re-indexing the oldest node puts it back in front, not at the end.
+  g.set_property(a, "k", one);
+  EXPECT_EQ(g.find_in_shard(0, "N", "k", one), (std::vector<NodeId>{a, b, c}));
+  EXPECT_EQ(g.find_one("N", "k", one).value_or(0), a);
+  ASSERT_TRUE(g.remove_node(b).ok());
+  EXPECT_EQ(g.find_in_shard(0, "N", "k", one), (std::vector<NodeId>{a, c}));
+  EXPECT_EQ(g.nodes_with_label("N"), (std::vector<NodeId>{a, c}));
+  EXPECT_EQ(g.count_with_property("N", "k", one), 2u);
+  ASSERT_TRUE(g.remove_node(a).ok());
+  EXPECT_EQ(g.find_one("N", "k", one).value_or(0), c);
+  EXPECT_EQ(g.count_with_label("N"), 1u);
+}
+
+TEST(Graph, TypedNeighborsKeepInsertionOrderAfterUnlink) {
+  PropertyGraph g;
+  const NodeId hub = g.add_node({"N"});
+  std::vector<NodeId> t;
+  for (int i = 0; i < 5; ++i) t.push_back(g.add_node({"N"}));
+  // Edges in an order that is neither id order nor grouped by type.
+  (void)g.add_edge(hub, t[4], "used").value();
+  (void)g.add_edge(hub, t[1], "wasInformedBy").value();
+  (void)g.add_edge(hub, t[2], "used").value();
+  (void)g.add_edge(hub, t[0], "used").value();
+  (void)g.add_edge(hub, t[3], "wasInformedBy").value();
+  (void)g.add_edge(t[3], hub, "used").value();
+  (void)g.add_edge(t[1], hub, "used").value();
+  ASSERT_TRUE(g.remove_node(t[2]).ok());  // unlinks hub -> t[2] mid-list
+  EXPECT_EQ(g.neighbors(hub, Direction::kOut, "used"), (std::vector<NodeId>{t[4], t[0]}));
+  EXPECT_EQ(g.neighbors(hub, Direction::kOut, "wasInformedBy"),
+            (std::vector<NodeId>{t[1], t[3]}));
+  EXPECT_EQ(g.neighbors(hub, Direction::kOut), (std::vector<NodeId>{t[4], t[1], t[0], t[3]}));
+  EXPECT_EQ(g.neighbors(hub, Direction::kBoth, "used"),
+            (std::vector<NodeId>{t[4], t[0], t[3], t[1]}));
+  EXPECT_EQ(g.degree(hub, Direction::kOut), 4u);
+  EXPECT_EQ(g.count_with_edge_type("used"), 4u);
 }
 
 TEST(Graph, ReachableBfsWithHopLimit) {
@@ -242,7 +296,7 @@ TEST(Service, PutGetDeleteLifecycle) {
   YProvService service;
   ASSERT_TRUE(service.put_document("exp1", training_doc()).ok());
   EXPECT_EQ(service.list_documents(), (std::vector<std::string>{"exp1"}));
-  ASSERT_NE(service.get_document("exp1"), nullptr);
+  ASSERT_TRUE(service.get_document("exp1").has_value());
   EXPECT_EQ(service.get_document("exp1")->count(prov::ElementKind::kEntity), 3u);
   EXPECT_TRUE(service.delete_document("exp1"));
   EXPECT_FALSE(service.delete_document("exp1"));
@@ -264,6 +318,23 @@ TEST(Service, ReplaceRebuildsGraph) {
   ASSERT_TRUE(service.put_document("exp", tiny).ok());
   EXPECT_EQ(service.graph().node_count(), 1u);
   EXPECT_LT(service.graph().node_count(), before);
+}
+
+TEST(Service, ReplaceRejectedByIngestKeepsThePreviousDocument) {
+  YProvService service;
+  const std::string path = "/api/v0/documents/exp";
+  ASSERT_EQ(service.handle({"PUT", path, prov::to_prov_json_string(training_doc())}).status,
+            201);
+  const std::string before = service.handle({"GET", path, ""}).body;
+  const std::size_t nodes = service.graph().node_count();
+  EXPECT_EQ(service.handle({"PUT", path, prov::to_prov_json_string(dangling_doc())}).status,
+            400);
+  const Response after = service.handle({"GET", path, ""});
+  EXPECT_EQ(after.status, 200);
+  EXPECT_EQ(after.body, before);
+  EXPECT_EQ(service.graph().node_count(), nodes);
+  EXPECT_TRUE(find_prov_node(service.graph(), "exp", "ex:train").has_value());
+  EXPECT_FALSE(find_prov_node(service.graph(), "exp", "ex:only").has_value());
 }
 
 TEST(Service, RestRoutes) {
@@ -406,7 +477,7 @@ TEST(Service, SaveLoadRoundTrip) {
   auto loaded = YProvService::load(dir.string());
   ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
   EXPECT_EQ(loaded.value().list_documents().size(), 2u);
-  EXPECT_NE(loaded.value().get_document("exp1"), nullptr);
+  ASSERT_TRUE(loaded.value().get_document("exp1").has_value());
   EXPECT_EQ(loaded.value().get_document("exp1")->count(prov::ElementKind::kEntity), 3u);
   EXPECT_GT(loaded.value().graph().node_count(), 0u);
   fs::remove_all(dir);
@@ -543,10 +614,7 @@ TEST(ShardedService, StatsPartitionTheGraphAndCountWriters) {
 }
 
 TEST(ShardedService, BulkIngestRollsBackAtomicallyOnBadDocument) {
-  prov::Document dangling;
-  dangling.declare_namespace("ex", "http://example.org/");
-  dangling.add_entity("ex:only");
-  dangling.used("ex:ghost-activity", "ex:only");  // endpoint never declared
+  const prov::Document dangling = dangling_doc();
 
   YProvService service(4);
   ASSERT_TRUE(service.put_document("pre", training_doc()).ok());
@@ -562,6 +630,24 @@ TEST(ShardedService, BulkIngestRollsBackAtomicallyOnBadDocument) {
   EXPECT_EQ(service.document_count(), 1u);
   EXPECT_EQ(service.list_documents(), (std::vector<std::string>{"pre"}));
   EXPECT_EQ(service.graph().node_count(), nodes_before);
+}
+
+TEST(ShardedService, BulkRollbackRestoresARepeatedNameToItsPreBatchBytes) {
+  YProvService service;
+  ASSERT_TRUE(service.put_document("x", training_doc()).ok());
+  const std::string before = service.handle({"GET", "/api/v0/documents/x", ""}).body;
+  prov::Document v2;
+  v2.add_entity("v2");
+  prov::Document v3;
+  v3.add_entity("v3");
+  std::vector<std::pair<std::string, prov::Document>> batch;
+  batch.emplace_back("x", v2);
+  batch.emplace_back("x", v3);
+  batch.emplace_back("y", dangling_doc());
+  EXPECT_FALSE(service.put_documents(batch).ok());
+  EXPECT_EQ(service.handle({"GET", "/api/v0/documents/x", ""}).body, before);
+  EXPECT_TRUE(find_prov_node(service.graph(), "x", "ex:train").has_value());
+  EXPECT_FALSE(find_prov_node(service.graph(), "x", "v2").has_value());
 }
 
 TEST(ShardedService, BulkIngestReportsAggregateStats) {
