@@ -2,8 +2,8 @@
 // cost-based executor buys over the brute-force reference evaluator the
 // differential suites compare it against (`ctest -L query`): indexed
 // anchoring + BFS for variable-length paths vs DFS path enumeration over
-// a full scan, incremental aggregation vs full materialization, and
-// top-k partial sort for ORDER BY/LIMIT vs sorting every row. The two
+// a full scan, incremental aggregation vs full materialization, and a
+// bounded heap for ORDER BY/LIMIT vs sorting every row. The two
 // sides return identical tables by construction, so every pair below is
 // a pure cost comparison.
 #include <benchmark/benchmark.h>
@@ -132,9 +132,9 @@ void BM_GroupedAggregateBrute(benchmark::State& state) {
 BENCHMARK(BM_GroupedAggregateBrute)->Arg(100)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
 /// ORDER BY prov_id LIMIT 5 over every entity: with a LIMIT the executor
-/// partial-sorts the top k of the row set; the reference evaluator fully
-/// sorts before paging. Same comparator, same rows — latency is the only
-/// difference.
+/// keeps the top k rows in a bounded heap as the walk finds them; the
+/// reference evaluator fully sorts before paging. Same comparator, same
+/// rows — latency is the only difference.
 void BM_TopKOrderByPlanned(benchmark::State& state) {
   const graphstore::PropertyGraph graph =
       ingested(static_cast<int>(state.range(0)));
@@ -160,6 +160,47 @@ void BM_TopKOrderByBrute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TopKOrderByBrute)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
+
+/// A plan that reverses: the written start (every Entity) is the large
+/// end, so the planner anchors on the one epoch activity pinned by
+/// prov_id, walks the edge backwards, and flips and sorts the found paths
+/// into the canonical order. The reference evaluator scans forward from
+/// every node. No other row here plans a reversed walk, so each side
+/// checks the plan before timing.
+graphstore::Query reversing_query(const graphstore::PropertyGraph& graph, int epochs,
+                                  benchmark::State& state) {
+  auto query = graphstore::parse_query(
+      "MATCH (c:Entity)-[:wasGeneratedBy]->(a:Activity {prov_id: \"ex:epoch_" +
+      std::to_string(epochs / 2) + "\"}) RETURN c").take();
+  if (!graphstore::explain_query(graph, query).reversed) {
+    state.SkipWithError("the plan does not reverse");
+  }
+  return query;
+}
+
+void BM_ReversedPlanned(benchmark::State& state) {
+  const int epochs = static_cast<int>(state.range(0));
+  const graphstore::PropertyGraph graph = ingested(epochs);
+  const auto query = reversing_query(graph, epochs, state);
+  for (auto _ : state) {
+    auto table = graphstore::execute_query(graph, query);
+    benchmark::DoNotOptimize(table.ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReversedPlanned)->Arg(100)->Arg(1000)->Unit(benchmark::kMicrosecond);
+
+void BM_ReversedBrute(benchmark::State& state) {
+  const int epochs = static_cast<int>(state.range(0));
+  const graphstore::PropertyGraph graph = ingested(epochs);
+  const auto query = reversing_query(graph, epochs, state);
+  for (auto _ : state) {
+    auto table = graphstore::execute_query_brute_force(graph, query);
+    benchmark::DoNotOptimize(table.ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReversedBrute)->Arg(100)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
 /// First-page latency: what the streaming cursor buys an interactive
 /// client that only wants the top of the result. The cursor walks the

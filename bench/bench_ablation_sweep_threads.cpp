@@ -4,7 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "provml/sim/sweep.hpp"
-#include "provml/sim/thread_pool.hpp"
+#include "provml/common/thread_pool.hpp"
 
 namespace {
 
@@ -47,7 +47,7 @@ BENCHMARK(BM_LargeSweep)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 /// Raw thread-pool dispatch overhead per task.
 void BM_ThreadPoolDispatch(benchmark::State& state) {
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  provml::common::ThreadPool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
     auto f = pool.submit([] { return 1; });
     benchmark::DoNotOptimize(f.get());

@@ -204,7 +204,9 @@ Bytes shuffle_bytes(ByteView input, std::size_t element_size) {
       out[plane * elements + e] = input[e * element_size + plane];
     }
   }
-  std::memcpy(out.data() + body, input.data() + body, input.size() - body);
+  if (body < input.size()) {
+    std::memcpy(out.data() + body, input.data() + body, input.size() - body);
+  }
   return out;
 }
 
@@ -218,7 +220,9 @@ Bytes unshuffle_bytes(ByteView input, std::size_t element_size) {
       out[e * element_size + plane] = input[plane * elements + e];
     }
   }
-  std::memcpy(out.data() + body, input.data() + body, input.size() - body);
+  if (body < input.size()) {
+    std::memcpy(out.data() + body, input.data() + body, input.size() - body);
+  }
   return out;
 }
 

@@ -146,8 +146,8 @@ struct ResultSet {
 /// share the one definition (it is the spec, not an optimization).
 [[nodiscard]] int compare_values(const json::Value& a, const json::Value& b);
 
-/// How run_query() decided to anchor the path match. Exposed for tests and
-/// benches; explain_query() fills it without executing.
+/// How the executor anchors the path match. Exposed for tests and benches;
+/// explain_query() fills it without executing.
 struct QueryPlan {
   enum class Anchor { kScanAll, kLabel, kProperty } anchor = Anchor::kScanAll;
   std::string label;            ///< chosen label (kLabel/kProperty)
@@ -169,10 +169,9 @@ struct QueryPlan {
 /// picks the cheaper orientation.
 [[nodiscard]] QueryPlan explain_query(const PropertyGraph& graph, const Query& query);
 
-/// Executes a parsed query against `graph` through the planner: indexed
-/// anchor choice, cost-based endpoint reversal, WHERE pushdown, BFS
-/// variable-length expansion, incremental aggregation, and top-k ORDER
-/// BY/LIMIT. The result is deterministic (see ResultSet).
+/// Executes a parsed query against `graph`: opens a QueryCursor and drains
+/// it, so the one planned executor answers both. The result is
+/// deterministic (see ResultSet).
 [[nodiscard]] Expected<ResultSet> execute_query(const PropertyGraph& graph,
                                                 const Query& query);
 
@@ -188,22 +187,24 @@ struct QueryPlan {
 [[nodiscard]] Expected<ResultSet> execute_query_brute_force(const PropertyGraph& graph,
                                                             const Query& query);
 
-/// Pull-based streaming executor: the cursor form of execute_query().
-/// Pages pulled with next() concatenate to exactly the table
-/// execute_query() returns — same columns, same rows, same order — but
-/// the work is done lazily:
+/// The planned query executor, pull-based. Pages pulled with next()
+/// concatenate to the table execute_query() returns — same columns, same
+/// rows, same order. The one matcher is an incremental depth-first walk
+/// with sorted-unique children at every step, from an indexed anchor,
+/// with WHERE conditions pushed into the walk and BFS variable-length
+/// expansion; it emits complete paths in ascending lexicographic order.
+/// Rows are those paths deduplicated on the RETURNed bindings, and every
+/// later stage is a sink over them:
 ///
-///   · Without ORDER BY or aggregates, the match runs as an incremental
-///     depth-first walk in *forward* orientation with sorted-unique
-///     children at every step, which emits complete paths in ascending
-///     lexicographic order — the batch engine's canonical order — so
-///     rows stream out one binding at a time and a page costs O(page)
-///     walk work, not O(result). Projection pushdown: only the RETURNed
-///     bindings are ever copied out of a path, and the row-dedup set is
-///     skipped entirely when the projection is injective.
-///   · With ORDER BY, rows materialize through the top-k partial sort
-///     (bounded by SKIP+LIMIT) once, then release incrementally.
-///   · Aggregates fold fully on open and stream their grouped rows out.
+///   · Without ORDER BY or aggregates, with a finite LIMIT or a plan that
+///     does not reverse, the walk runs forward, which is the canonical
+///     order, and rows stream out one binding at a time: a page costs
+///     O(page) walk work, not O(result).
+///   · Otherwise open() walks in the plan's orientation, flipping and
+///     sorting a reversed walk's paths into the canonical order, and
+///     runs the sinks to the end: aggregates fold each row into per-group
+///     accumulators in base order; ORDER BY keeps a heap bounded by
+///     SKIP+LIMIT, ties broken on base order. next() pages that table.
 ///
 /// A cursor holds a pointer into the graph and no locks: callers that
 /// share the graph must pin it (the service pins cursors to a
@@ -231,7 +232,8 @@ class QueryCursor {
   [[nodiscard]] bool done() const;
 
   /// True when rows are produced lazily per binding (no ORDER BY, no
-  /// aggregates); false when the cursor pages over a materialized table.
+  /// aggregates, a forward walk); false when the cursor pages over a
+  /// table finished on open.
   [[nodiscard]] bool streaming() const;
 
  private:
@@ -241,8 +243,9 @@ class QueryCursor {
 };
 
 /// Binding-level execution for aggregate-free queries (errors when the
-/// RETURN list aggregates): rows of returned variable → NodeId, honoring
-/// ORDER BY/SKIP/LIMIT. Kept for callers that need node identity.
+/// RETURN list aggregates): execute_query()'s rows, each cell keyed by
+/// its returned variable as a NodeId. Kept for callers that need node
+/// identity.
 [[nodiscard]] Expected<std::vector<Row>> run_query(const PropertyGraph& graph,
                                                    const Query& query);
 
@@ -250,9 +253,8 @@ class QueryCursor {
 [[nodiscard]] Expected<std::vector<Row>> run_query(const PropertyGraph& graph,
                                                    const std::string& text);
 
-/// Binding-level reference matcher, the historical oracle: full scan, no
-/// index, no reversal, post-filtered WHERE. The property/fuzz suites
-/// assert run_query == run_query_brute_force row-for-row.
+/// The same adapter over execute_query_brute_force(). The property/fuzz
+/// suites assert run_query == run_query_brute_force row-for-row.
 [[nodiscard]] Expected<std::vector<Row>> run_query_brute_force(const PropertyGraph& graph,
                                                                const Query& query);
 

@@ -90,6 +90,8 @@ int compare_values(const json::Value& a, const json::Value& b) {
 
 namespace {
 
+constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+
 // ----------------------------------------------------------------- parser
 
 class Parser {
@@ -676,17 +678,6 @@ std::vector<NodeId> anchor_pool(const PropertyGraph& graph, const NodePattern& p
   return {};
 }
 
-/// Candidate nodes for the pattern per `plan`, fully re-checked against the
-/// whole pattern (the index narrows, node_matches decides).
-std::vector<NodeId> candidates(const PropertyGraph& graph, const NodePattern& pattern,
-                               const QueryPlan& plan) {
-  std::vector<NodeId> pool = anchor_pool(graph, pattern, plan);
-  pool.erase(std::remove_if(pool.begin(), pool.end(),
-                            [&](NodeId id) { return !node_matches(graph, id, pattern); }),
-             pool.end());
-  return pool;
-}
-
 /// Conditions attached to the node-pattern position they prune, preserving
 /// the historical semantics: each condition applies to the *first* pattern
 /// whose var matches (vars are normally unique per query).
@@ -729,34 +720,7 @@ Query reverse_query(const Query& query) {
   return reversed;
 }
 
-/// Depth-first path expansion with WHERE pushdown: a frontier node must
-/// satisfy both its pattern and every condition bound to its position, so
-/// non-matching paths are pruned during expansion instead of post-filtered.
-/// Variable-length steps expand through var_targets_planned.
-void extend(const PropertyGraph& graph, const Query& query,
-            const std::vector<std::vector<const Condition*>>& conds, std::size_t depth,
-            std::vector<NodeId>& path, std::set<std::vector<NodeId>>& results) {
-  if (depth == query.nodes.size()) {
-    results.insert(path);
-    return;
-  }
-  const EdgePattern& edge = query.edges[depth - 1];
-  const std::vector<NodeId> nexts =
-      edge.variable ? var_targets_planned(graph, path.back(), edge)
-                    : graph.neighbors(path.back(), edge.direction, edge.type);
-  for (const NodeId next : nexts) {
-    if (!node_matches(graph, next, query.nodes[depth])) continue;
-    const bool pruned = std::any_of(
-        conds[depth].begin(), conds[depth].end(),
-        [&](const Condition* c) { return !condition_holds_impl(graph, next, *c); });
-    if (pruned) continue;
-    path.push_back(next);
-    extend(graph, query, conds, depth + 1, path, results);
-    path.pop_back();
-  }
-}
-
-/// The oracle's expansion: same shape, no pushdown, DFS variable-length
+/// The oracle's expansion: depth-first, no pushdown, DFS variable-length
 /// enumeration.
 void extend_brute(const PropertyGraph& graph, const Query& query, std::size_t depth,
                   std::vector<NodeId>& path, std::set<std::vector<NodeId>>& results) {
@@ -787,9 +751,9 @@ std::set<std::string> relevant_vars(const Query& query) {
   return vars;
 }
 
-/// Deterministic row assembly shared by the planner and brute-force paths:
-/// paths are in original pattern orientation, rows ordered by path order,
-/// deduplicated on the projected bindings.
+/// The oracle's deterministic row assembly: paths are in original pattern
+/// orientation, rows ordered by path order, deduplicated on the projected
+/// bindings.
 std::vector<Row> rows_from_paths(const Query& query,
                                  const std::set<std::vector<NodeId>>& paths) {
   const std::set<std::string> vars = relevant_vars(query);
@@ -813,9 +777,8 @@ json::Value node_property(const PropertyGraph& graph, NodeId id, const std::stri
   return v != nullptr ? *v : json::Value(nullptr);
 }
 
-/// Streaming accumulator for one aggregate column — the planner's
-/// aggregate pushdown: rows fold in one at a time, nothing per-group is
-/// materialized.
+/// Streaming accumulator for one aggregate column: rows fold in one at a
+/// time, each by the node its aggregated variable binds.
 struct AggAccumulator {
   std::int64_t count = 0;
   json::Value extreme;          // min/max; null until the first real value
@@ -823,10 +786,10 @@ struct AggAccumulator {
   double sum = 0.0;
   std::int64_t numeric = 0;
 
-  void fold(const ReturnItem& item, const PropertyGraph& graph, const Row& row) {
+  void fold(const ReturnItem& item, const PropertyGraph& graph, NodeId node) {
     ++count;
     if (item.agg == ReturnItem::Agg::kCount) return;
-    const json::Value v = node_property(graph, row.at(item.var), item.key);
+    const json::Value v = node_property(graph, node, item.key);
     if (v.is_null()) return;
     if (item.agg == ReturnItem::Agg::kAvg) {
       if (v.is_number()) {
@@ -869,52 +832,6 @@ std::vector<ResultSet::Column> result_columns(const Query& query) {
   return columns;
 }
 
-/// Group binding rows by the tuple of un-aggregated RETURN variables and
-/// fold every aggregate column. Group order is ascending group key. With
-/// no grouping variables and no rows, aggregates still produce one row
-/// (count() over nothing is 0).
-std::vector<std::vector<json::Value>> aggregate_rows(const PropertyGraph& graph,
-                                                     const Query& query,
-                                                     const std::vector<Row>& rows) {
-  std::vector<const ReturnItem*> group_items;
-  for (const ReturnItem& item : query.returns) {
-    if (item.agg == ReturnItem::Agg::kNone) group_items.push_back(&item);
-  }
-  std::map<std::vector<NodeId>, std::vector<AggAccumulator>> groups;
-  for (const Row& row : rows) {
-    std::vector<NodeId> key;
-    key.reserve(group_items.size());
-    for (const ReturnItem* item : group_items) key.push_back(row.at(item->var));
-    auto [it, inserted] =
-        groups.try_emplace(std::move(key), query.returns.size(), AggAccumulator{});
-    for (std::size_t c = 0; c < query.returns.size(); ++c) {
-      if (query.returns[c].agg != ReturnItem::Agg::kNone) {
-        it->second[c].fold(query.returns[c], graph, row);
-      }
-    }
-  }
-  if (groups.empty() && group_items.empty()) {
-    groups.try_emplace(std::vector<NodeId>{},
-                       std::vector<AggAccumulator>(query.returns.size()));
-  }
-  std::vector<std::vector<json::Value>> out;
-  out.reserve(groups.size());
-  for (const auto& [key, accs] : groups) {
-    std::vector<json::Value> cells;
-    cells.reserve(query.returns.size());
-    std::size_t group_cursor = 0;
-    for (std::size_t c = 0; c < query.returns.size(); ++c) {
-      if (query.returns[c].agg == ReturnItem::Agg::kNone) {
-        cells.emplace_back(static_cast<std::int64_t>(key[group_cursor++]));
-      } else {
-        cells.push_back(accs[c].result(query.returns[c]));
-      }
-    }
-    out.push_back(std::move(cells));
-  }
-  return out;
-}
-
 std::vector<std::vector<json::Value>> project_rows(const Query& query,
                                                    const std::vector<Row>& rows) {
   std::vector<std::vector<json::Value>> out;
@@ -935,7 +852,7 @@ std::vector<std::vector<json::Value>> project_rows(const Query& query,
 /// The sort value of one output row under one key. An aggregate key reads
 /// its column; `var` reads the node-id cell; `var.key` resolves the
 /// property of the bound node. This function *is* the ORDER BY spec — the
-/// planner and the oracle both sort with it.
+/// executor and the oracle both sort with it.
 json::Value sort_value(const PropertyGraph& graph, const Query& query,
                        const SortKey& key, const std::vector<json::Value>& row) {
   for (std::size_t c = 0; c < query.returns.size(); ++c) {
@@ -951,8 +868,8 @@ json::Value sort_value(const PropertyGraph& graph, const Query& query,
 }
 
 /// Strict deterministic comparator: the ORDER BY keys, then the base-order
-/// index — so ties preserve the engine's deterministic base order and
-/// top-k selection agrees with a full stable sort.
+/// index — so ties preserve the engine's deterministic base order and the
+/// sort is total.
 struct RowOrder {
   const PropertyGraph& graph;
   const Query& query;
@@ -968,27 +885,15 @@ struct RowOrder {
   }
 };
 
-/// ORDER BY + SKIP/LIMIT over output rows. `top_k` selects with
-/// std::partial_sort when a finite LIMIT asks for a prefix (the planner's
-/// pagination shortcut); the full sort path is what the oracle uses. Both
-/// orders are identical because the comparator is strict-total.
+/// ORDER BY + SKIP/LIMIT over output rows by a full sort: the oracle's
+/// pagination, which TableSink's bounded heap reproduces.
 std::vector<std::vector<json::Value>> order_and_page(
     const PropertyGraph& graph, const Query& query,
-    std::vector<std::vector<json::Value>> rows, bool top_k) {
+    std::vector<std::vector<json::Value>> rows) {
   std::vector<std::size_t> index(rows.size());
   for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;
   if (!query.order_by.empty()) {
-    const RowOrder order{graph, query, rows};
-    const std::size_t want =
-        query.limit == std::numeric_limits<std::size_t>::max()
-            ? rows.size()
-            : std::min(rows.size(), query.skip + query.limit);
-    if (top_k && want < rows.size()) {
-      std::partial_sort(index.begin(), index.begin() + static_cast<std::ptrdiff_t>(want),
-                        index.end(), order);
-    } else {
-      std::sort(index.begin(), index.end(), order);
-    }
+    std::sort(index.begin(), index.end(), RowOrder{graph, query, rows});
   }
   std::vector<std::vector<json::Value>> out;
   for (std::size_t i = query.skip; i < index.size() && out.size() < query.limit; ++i) {
@@ -997,36 +902,80 @@ std::vector<std::vector<json::Value>> order_and_page(
   return out;
 }
 
-// ------------------------------------------------------------ match cores
+/// Where the executor's finished tables end: output rows arrive in base
+/// order and leave ordered and paged exactly as order_and_page leaves them.
+/// Without ORDER BY, SKIP and LIMIT apply as rows arrive. With ORDER BY, a
+/// max-heap keeps the best SKIP+LIMIT rows seen so far, each with its sort
+/// values resolved once; ties break on the row's base-order index.
+class TableSink {
+ public:
+  TableSink(const PropertyGraph& graph, const Query& query)
+      : graph_(graph),
+        query_(query),
+        keep_(query.limit > kNoLimit - query.skip ? kNoLimit : query.skip + query.limit) {}
 
-Expected<std::set<std::vector<NodeId>>> match_planned(const PropertyGraph& graph,
-                                                      const Query& query,
-                                                      const QueryPlan& plan) {
-  // Execute in anchor orientation; conditions keep their original
-  // first-occurrence positions, mirrored when the path is reversed.
-  const Query executed = plan.reversed ? reverse_query(query) : query;
-  std::vector<std::vector<const Condition*>> conds = conditions_by_position(query);
-  if (plan.reversed) std::reverse(conds.begin(), conds.end());
-
-  std::set<std::vector<NodeId>> paths;
-  for (const NodeId start : candidates(graph, executed.nodes.front(), plan)) {
-    const bool pruned = std::any_of(
-        conds.front().begin(), conds.front().end(),
-        [&](const Condition* c) { return !condition_holds_impl(graph, start, *c); });
-    if (pruned) continue;
-    std::vector<NodeId> path{start};
-    extend(graph, executed, conds, 1, path, paths);
-  }
-
-  if (plan.reversed) {
-    std::set<std::vector<NodeId>> forward;
-    for (const std::vector<NodeId>& path : paths) {
-      forward.emplace(path.rbegin(), path.rend());
+  void add(std::vector<json::Value> cells) {
+    const std::size_t index = arrived_++;
+    if (query_.order_by.empty()) {
+      if (index >= query_.skip && rows_.size() < query_.limit) {
+        rows_.push_back(std::move(cells));
+      }
+      return;
     }
-    paths.swap(forward);
+    if (keep_ == 0) return;
+    Ranked row{{}, index, std::move(cells)};
+    for (const SortKey& key : query_.order_by) {
+      row.keys.push_back(sort_value(graph_, query_, key, row.cells));
+    }
+    const Before before{query_};
+    if (heap_.size() == keep_) {
+      if (!before(row, heap_.front())) return;
+      std::pop_heap(heap_.begin(), heap_.end(), before);
+      heap_.pop_back();
+    }
+    heap_.push_back(std::move(row));
+    std::push_heap(heap_.begin(), heap_.end(), before);
   }
-  return paths;
-}
+
+  /// The ordered, paged table. Called once, after the last add().
+  std::vector<std::vector<json::Value>> finish() {
+    if (query_.order_by.empty()) return std::move(rows_);
+    std::sort_heap(heap_.begin(), heap_.end(), Before{query_});
+    std::vector<std::vector<json::Value>> out;
+    for (std::size_t i = query_.skip; i < heap_.size(); ++i) {
+      out.push_back(std::move(heap_[i].cells));
+    }
+    return out;
+  }
+
+ private:
+  struct Ranked {
+    std::vector<json::Value> keys;  ///< one sort value per ORDER BY key
+    std::size_t index = 0;          ///< position in base order
+    std::vector<json::Value> cells;
+  };
+
+  /// RowOrder's strict total order, over the resolved sort values.
+  struct Before {
+    const Query& query;
+    bool operator()(const Ranked& a, const Ranked& b) const {
+      for (std::size_t k = 0; k < query.order_by.size(); ++k) {
+        const int c = compare_values(a.keys[k], b.keys[k]);
+        if (c != 0) return query.order_by[k].descending ? c > 0 : c < 0;
+      }
+      return a.index < b.index;
+    }
+  };
+
+  const PropertyGraph& graph_;
+  const Query& query_;
+  std::size_t keep_;  ///< SKIP+LIMIT, saturated
+  std::size_t arrived_ = 0;
+  std::vector<std::vector<json::Value>> rows_;  ///< without ORDER BY
+  std::vector<Ranked> heap_;                    ///< with ORDER BY
+};
+
+// ----------------------------------------------------------- oracle match
 
 Expected<std::set<std::vector<NodeId>>> match_brute(const PropertyGraph& graph,
                                                     const Query& query) {
@@ -1054,14 +1003,33 @@ Expected<std::set<std::vector<NodeId>>> match_brute(const PropertyGraph& graph,
   return paths;
 }
 
-Expected<std::vector<Row>> binding_rows(const PropertyGraph& graph, const Query& query,
-                                        bool brute) {
+Expected<std::vector<Row>> binding_rows(const PropertyGraph& graph, const Query& query) {
   if (query.nodes.empty()) return Error{"query has no node patterns", "query"};
-  Expected<std::set<std::vector<NodeId>>> paths =
-      brute ? match_brute(graph, query)
-            : match_planned(graph, query, explain_query(graph, query));
+  Expected<std::set<std::vector<NodeId>>> paths = match_brute(graph, query);
   if (!paths.ok()) return paths.error();
   return rows_from_paths(query, paths.value());
+}
+
+/// The binding-level API over a table evaluator: each row's node-id cells
+/// keyed by their RETURN variable.
+Expected<std::vector<Row>> bindings(const PropertyGraph& graph, const Query& query,
+                                    Expected<ResultSet> (*evaluate)(const PropertyGraph&,
+                                                                    const Query&)) {
+  if (query.has_aggregate()) {
+    return Error{"query aggregates; use the table-level API for a value table", "query"};
+  }
+  Expected<ResultSet> table = evaluate(graph, query);
+  if (!table.ok()) return table.error();
+  std::vector<Row> out;
+  out.reserve(table.value().rows.size());
+  for (const std::vector<json::Value>& cells : table.value().rows) {
+    Row row;
+    for (std::size_t c = 0; c < query.returns.size(); ++c) {
+      row[query.returns[c].var] = static_cast<NodeId>(cells[c].as_int());
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
 }
 
 }  // namespace
@@ -1115,60 +1083,72 @@ Expected<Query> parse_query(const std::string& text) { return Parser(text).run()
 
 // ------------------------------------------------------------ QueryCursor
 
-/// Cursor state. Two shapes share the class:
+/// Cursor state: the one planned matcher and the sinks over its rows.
 ///
-///   · lazy — an explicit-stack depth-first walk over the pattern in
-///     forward orientation. frames[d] holds the sorted-unique candidate
-///     list for pattern position d given path[0..d-1]; children are
-///     sorted at generation, so complete fixed-length paths pop out in
-///     ascending lexicographic order — exactly the order the batch
-///     engine's std::set<std::vector<NodeId>> imposes — and rows can
-///     stream without ever materializing the result.
+/// The matcher is an explicit-stack depth-first walk over the pattern in
+/// the plan's orientation. frames[d] holds the sorted-unique candidate
+/// list for walked position d given path[0..d-1], so complete paths pop
+/// out in ascending lexicographic order. Walking forward, that is the
+/// canonical base order; a reversed walk's paths are flipped and sorted
+/// into it before any sink sees them. Rows are those paths deduplicated
+/// on the projected bindings, the first in base order kept.
 ///
-///   · materialized — ORDER BY / aggregate queries run through
-///     execute_query() once on open, and next() slices the table.
+/// A `lazy` cursor (no aggregate, no ORDER BY, forward walk) pages rows
+/// out as the walk finds them. Every other cursor runs the walk to the
+/// end on open — through per-group accumulators for aggregates, then the
+/// TableSink for ORDER BY/SKIP/LIMIT — and next() slices that table.
 struct QueryCursor::Impl {
   const PropertyGraph* graph = nullptr;
-  Query query;
+  Query query;           ///< as written: projection and sinks read it
+  Query reversed_query;  ///< the walked pattern when `reversed`
+  bool reversed = false;
   std::vector<ResultSet::Column> columns;
   bool lazy = false;
   bool exhausted = false;
 
-  // --- lazy-walk state
+  // --- the walk
   struct Frame {
     std::vector<NodeId> nexts;
     std::size_t cursor = 0;
   };
+  /// WHERE conditions per walked position: each sits at the first written
+  /// occurrence of its variable, mirrored when the walk is reversed.
   std::vector<std::vector<const Condition*>> conds;
   std::vector<Frame> frames;
   std::vector<NodeId> path;
+
+  // --- rows; positions index paths in written orientation
   /// Projection pushdown: per RETURN item, the pattern position whose
   /// binding becomes the cell (the *last* occurrence of the item's var,
   /// matching rows_from_paths' overwrite semantics).
   std::vector<std::size_t> return_positions;
-  /// Dedup key positions: one per relevant var, in ascending var-name
-  /// order (the std::map<var, NodeId> Row order).
+  /// Dedup key positions: the distinct positions return_positions reads,
+  /// ascending. Rows with equal bindings there are one row.
   std::vector<std::size_t> dedup_positions;
   /// False when the dedup key covers every pattern position — then paths
   /// and rows are in bijection and the seen-set is skipped entirely.
   bool needs_dedup = false;
   std::set<std::vector<NodeId>> seen;
+
+  // --- lazy paging
   std::size_t skip_remaining = 0;
-  std::size_t limit_remaining = std::numeric_limits<std::size_t>::max();
+  std::size_t limit_remaining = kNoLimit;
   /// One-row lookahead: next_lazy() walks one row past the page so
   /// done() is exact when a page drains the result — no trailing empty
   /// page (and no extra HTTP round-trip) just to learn the walk is over.
   std::optional<std::vector<json::Value>> pending;
 
-  // --- materialized state
+  // --- finished table
   std::vector<std::vector<json::Value>> table;
   std::size_t offset = 0;
 
-  /// Sorted-unique expansion candidates for pattern position `pos` from
+  [[nodiscard]] const Query& walked() const { return reversed ? reversed_query : query; }
+
+  /// Sorted-unique expansion candidates for walked position `pos` from
   /// `from`. Pattern/WHERE admissibility is checked at pick time, not
   /// here, so generation stays a sort of the raw neighbor list.
   [[nodiscard]] std::vector<NodeId> children(std::size_t pos, NodeId from) const {
-    const EdgePattern& edge = query.edges[pos - 1];
+    const EdgePattern& edge = walked().edges[pos - 1];
     std::vector<NodeId> nexts =
         edge.variable ? var_targets_planned(*graph, from, edge)
                       : graph->neighbors(from, edge.direction, edge.type);
@@ -1177,14 +1157,114 @@ struct QueryCursor::Impl {
     return nexts;
   }
 
-  /// Whether `node` can occupy pattern position `pos`: the pattern's
-  /// labels/properties plus every WHERE condition bound to the position
-  /// (the same pushdown extend() applies during the batch walk).
+  /// Whether `node` can occupy walked position `pos`: the pattern's
+  /// labels/properties plus every WHERE condition bound to the position,
+  /// so non-matching paths are pruned during the walk.
   [[nodiscard]] bool admissible(std::size_t pos, NodeId node) const {
-    if (!node_matches(*graph, node, query.nodes[pos])) return false;
+    if (!node_matches(*graph, node, walked().nodes[pos])) return false;
     return std::none_of(conds[pos].begin(), conds[pos].end(), [&](const Condition* c) {
       return !condition_holds_impl(*graph, node, *c);
     });
+  }
+
+  /// Advances the walk to its next complete path, left in `path`; false
+  /// once the walk is over.
+  bool next_path() {
+    while (!frames.empty()) {
+      const std::size_t depth = frames.size() - 1;
+      Frame& top = frames.back();
+      if (top.cursor == top.nexts.size()) {
+        frames.pop_back();
+        continue;
+      }
+      const NodeId node = top.nexts[top.cursor++];
+      if (!admissible(depth, node)) continue;
+      path.resize(depth);
+      path.push_back(node);
+      if (depth + 1 == walked().nodes.size()) return true;
+      frames.push_back(Frame{children(depth + 1, node), 0});
+    }
+    return false;
+  }
+
+  /// False when `p` projects onto a row an earlier path already produced.
+  bool fresh(const std::vector<NodeId>& p) {
+    if (!needs_dedup) return true;
+    std::vector<NodeId> key;
+    key.reserve(dedup_positions.size());
+    for (const std::size_t pos : dedup_positions) key.push_back(p[pos]);
+    return seen.insert(std::move(key)).second;
+  }
+
+  [[nodiscard]] std::vector<json::Value> cells(const std::vector<NodeId>& p) const {
+    std::vector<json::Value> out;
+    out.reserve(return_positions.size());
+    for (const std::size_t pos : return_positions) {
+      out.emplace_back(static_cast<std::int64_t>(p[pos]));
+    }
+    return out;
+  }
+
+  /// Hands the path behind every row, in base order and written
+  /// orientation, to `sink`.
+  template <typename Sink>
+  void for_each_row(Sink&& sink) {
+    std::vector<std::vector<NodeId>> flipped;  // a reversed walk's paths
+    while (next_path()) {
+      if (reversed) {
+        flipped.emplace_back(path.rbegin(), path.rend());
+      } else if (fresh(path)) {
+        sink(path);
+      }
+    }
+    std::sort(flipped.begin(), flipped.end());
+    for (const std::vector<NodeId>& p : flipped) {
+      if (fresh(p)) sink(p);
+    }
+  }
+
+  /// Runs the walk to the end through the sinks: the finished table.
+  [[nodiscard]] std::vector<std::vector<json::Value>> materialize() {
+    TableSink sink(*graph, query);
+    const std::vector<ReturnItem>& items = query.returns;
+    if (!query.has_aggregate()) {
+      for_each_row([&](const std::vector<NodeId>& p) { sink.add(cells(p)); });
+      return sink.finish();
+    }
+    // Group rows by the un-aggregated RETURN items (the key holds one slot
+    // per item; aggregate slots stay 0) and fold every aggregate column, in
+    // base order so min/max ties and floating-point sums come out as the
+    // oracle's. Groups leave in ascending key order; with no grouping item
+    // and no rows, aggregates still produce one row (count() over nothing
+    // is 0).
+    const auto plain = [&](std::size_t c) { return items[c].agg == ReturnItem::Agg::kNone; };
+    std::map<std::vector<NodeId>, std::vector<AggAccumulator>> groups;
+    for_each_row([&](const std::vector<NodeId>& p) {
+      std::vector<NodeId> key(items.size());
+      for (std::size_t c = 0; c < items.size(); ++c) {
+        if (plain(c)) key[c] = p[return_positions[c]];
+      }
+      std::vector<AggAccumulator>& accs =
+          groups.try_emplace(std::move(key), items.size()).first->second;
+      for (std::size_t c = 0; c < items.size(); ++c) {
+        if (!plain(c)) accs[c].fold(items[c], *graph, p[return_positions[c]]);
+      }
+    });
+    bool grouped = false;
+    for (std::size_t c = 0; c < items.size(); ++c) grouped = grouped || plain(c);
+    if (groups.empty() && !grouped) {
+      groups.try_emplace(std::vector<NodeId>(items.size()), items.size());
+    }
+    for (const auto& [key, accs] : groups) {
+      std::vector<json::Value> row;
+      row.reserve(items.size());
+      for (std::size_t c = 0; c < items.size(); ++c) {
+        row.push_back(plain(c) ? json::Value(static_cast<std::int64_t>(key[c]))
+                               : accs[c].result(items[c]));
+      }
+      sink.add(std::move(row));
+    }
+    return sink.finish();
   }
 
   [[nodiscard]] std::vector<std::vector<json::Value>> next_lazy(std::size_t max_rows) {
@@ -1197,39 +1277,14 @@ struct QueryCursor::Impl {
     // drains the result still learns there is nothing left. The overflow
     // row is stashed in `pending` for the next call. Unbounded drains
     // (max_rows == SIZE_MAX) cannot overflow the +1 because the loop exits
-    // on frame/limit exhaustion long before out.size() wraps.
-    while (out.size() <= max_rows && !frames.empty() && limit_remaining > 0) {
-      const std::size_t depth = frames.size() - 1;
-      Frame& top = frames.back();
-      if (top.cursor == top.nexts.size()) {
-        frames.pop_back();
-        continue;
-      }
-      const NodeId node = top.nexts[top.cursor++];
-      if (!admissible(depth, node)) continue;
-      path.resize(depth);
-      path.push_back(node);
-      if (depth + 1 < query.nodes.size()) {
-        frames.push_back(Frame{children(depth + 1, node), 0});
-        continue;
-      }
-      // Complete path: dedup on the projected bindings, then page.
-      if (needs_dedup) {
-        std::vector<NodeId> key;
-        key.reserve(dedup_positions.size());
-        for (const std::size_t p : dedup_positions) key.push_back(path[p]);
-        if (!seen.insert(std::move(key)).second) continue;
-      }
+    // on walk/limit exhaustion long before out.size() wraps.
+    while (out.size() <= max_rows && limit_remaining > 0 && next_path()) {
+      if (!fresh(path)) continue;
       if (skip_remaining > 0) {
         --skip_remaining;
         continue;
       }
-      std::vector<json::Value> cells;
-      cells.reserve(return_positions.size());
-      for (const std::size_t p : return_positions) {
-        cells.emplace_back(static_cast<std::int64_t>(path[p]));
-      }
-      out.push_back(std::move(cells));
+      out.push_back(cells(path));
       --limit_remaining;
     }
     if (out.size() > max_rows) {
@@ -1276,52 +1331,49 @@ Expected<QueryCursor> QueryCursor::open(const PropertyGraph& graph, const Query&
   impl->graph = &graph;
   impl->query = query;
   impl->columns = result_columns(query);
-  impl->lazy = !query.has_aggregate() && query.order_by.empty();
-  if (!impl->lazy) {
-    Expected<ResultSet> table = execute_query(graph, query);
-    if (!table.ok()) return table.error();
-    impl->table = std::move(table.value().rows);
-    impl->exhausted = impl->table.empty();
-    return QueryCursor(std::move(impl));
-  }
-
   const Query& q = impl->query;
+
+  // The one orientation decision. A streamable query with a finite LIMIT
+  // walks forward whatever the plan, so the walk stops once the page is
+  // full; an unbounded one visits every match either way and walks in the
+  // plan's orientation, streaming only when that is forward.
+  const bool streamable = !q.has_aggregate() && q.order_by.empty();
+  const QueryPlan plan = streamable && q.limit != kNoLimit
+                             ? plan_anchor(graph, q.nodes.front())
+                             : explain_query(graph, q);
+  impl->reversed = plan.reversed;
+  impl->lazy = streamable && !plan.reversed;
+  if (impl->reversed) impl->reversed_query = reverse_query(q);
   impl->conds = conditions_by_position(q);
-  impl->skip_remaining = q.skip;
-  impl->limit_remaining = q.limit;
+  if (impl->reversed) std::reverse(impl->conds.begin(), impl->conds.end());
 
   // Projection pushdown bookkeeping: map RETURN items and the dedup key
   // to pattern positions once, so emitting a row is a handful of array
   // reads instead of a Row map.
-  std::map<std::string, std::size_t> last_position;
-  for (std::size_t i = 0; i < q.nodes.size(); ++i) {
-    if (!q.nodes[i].var.empty()) last_position[q.nodes[i].var] = i;
-  }
   for (const ReturnItem& item : q.returns) {
-    impl->return_positions.push_back(last_position.at(item.var));
-  }
-  const std::set<std::string> vars = relevant_vars(q);
-  for (const std::string& var : vars) {  // std::set iterates ascending
-    impl->dedup_positions.push_back(last_position.at(var));
-  }
-  // The seen-set is only needed when distinct paths can collapse to one
-  // row, i.e. when some position is not the last occurrence of a
-  // projected variable.
-  impl->needs_dedup = false;
-  for (std::size_t i = 0; i < q.nodes.size(); ++i) {
-    const std::string& var = q.nodes[i].var;
-    if (var.empty() || vars.count(var) == 0 || last_position.at(var) != i) {
-      impl->needs_dedup = true;
-      break;
+    std::size_t pos = q.nodes.size();
+    for (std::size_t i = 0; i < q.nodes.size(); ++i) {
+      if (q.nodes[i].var == item.var) pos = i;
     }
+    if (pos == q.nodes.size()) {
+      return Error{"RETURN references unbound variable '" + item.var + "'", "query"};
+    }
+    impl->return_positions.push_back(pos);
   }
+  std::vector<std::size_t>& dedup = impl->dedup_positions;
+  dedup = impl->return_positions;
+  std::sort(dedup.begin(), dedup.end());
+  dedup.erase(std::unique(dedup.begin(), dedup.end()), dedup.end());
+  impl->needs_dedup = dedup.size() != q.nodes.size();
 
-  // Forward-orientation anchor. The cursor never reverses: only the
-  // forward walk emits paths in the canonical ascending order, so
-  // streamed pages concatenate byte-identically to the batch result.
+  impl->frames.reserve(q.nodes.size());
+  impl->path.reserve(q.nodes.size());
   impl->frames.push_back(
-      Impl::Frame{anchor_pool(graph, q.nodes.front(), plan_anchor(graph, q.nodes.front())), 0});
-  if (q.limit == 0) impl->exhausted = true;
+      Impl::Frame{anchor_pool(graph, impl->walked().nodes.front(), plan), 0});
+  impl->skip_remaining = q.skip;
+  impl->limit_remaining = q.limit;
+  if (!impl->lazy) impl->table = impl->materialize();
+  impl->exhausted = impl->lazy ? q.limit == 0 : impl->table.empty();
   return QueryCursor(std::move(impl));
 }
 
@@ -1347,30 +1399,11 @@ QueryPlan explain_query(const PropertyGraph& graph, const Query& query) {
 }
 
 Expected<ResultSet> execute_query(const PropertyGraph& graph, const Query& query) {
-  // Streamable queries (no aggregate, no ORDER BY) drain the lazy cursor
-  // instead of materializing every match: with a finite LIMIT that makes
-  // the whole call O(SKIP+LIMIT) walk work — the walk stops as soon as
-  // the page is full. An unbounded query visits everything either way,
-  // so it only streams when the planner would have run forward anyway
-  // (the cursor cannot reverse without losing canonical output order).
-  if (!query.nodes.empty() && !query.has_aggregate() && query.order_by.empty() &&
-      (query.limit != std::numeric_limits<std::size_t>::max() ||
-       !explain_query(graph, query).reversed)) {
-    Expected<QueryCursor> cursor = QueryCursor::open(graph, query);
-    if (!cursor.ok()) return cursor.error();
-    ResultSet result;
-    result.columns = result_columns(query);
-    result.rows = cursor.value().next(query.limit);
-    return result;
-  }
-  Expected<std::vector<Row>> rows = binding_rows(graph, query, /*brute=*/false);
-  if (!rows.ok()) return rows.error();
+  Expected<QueryCursor> cursor = QueryCursor::open(graph, query);
+  if (!cursor.ok()) return cursor.error();
   ResultSet result;
-  result.columns = result_columns(query);
-  std::vector<std::vector<json::Value>> cells =
-      query.has_aggregate() ? aggregate_rows(graph, query, rows.value())
-                            : project_rows(query, rows.value());
-  result.rows = order_and_page(graph, query, std::move(cells), /*top_k=*/true);
+  result.columns = cursor.value().columns();
+  result.rows = cursor.value().next(kNoLimit);
   return result;
 }
 
@@ -1382,13 +1415,13 @@ Expected<ResultSet> execute_query(const PropertyGraph& graph, const std::string&
 
 Expected<ResultSet> execute_query_brute_force(const PropertyGraph& graph,
                                               const Query& query) {
-  Expected<std::vector<Row>> rows = binding_rows(graph, query, /*brute=*/true);
+  Expected<std::vector<Row>> rows = binding_rows(graph, query);
   if (!rows.ok()) return rows.error();
   ResultSet result;
   result.columns = result_columns(query);
   // Full materialization: group row vectors first, aggregate second, sort
-  // everything third. The ablation partner of the planner's streaming
-  // accumulators and top-k selection.
+  // everything third. The ablation partner of the executor's streaming
+  // accumulators and bounded ORDER BY heap.
   std::vector<std::vector<json::Value>> cells;
   if (query.has_aggregate()) {
     std::vector<const ReturnItem*> group_items;
@@ -1411,7 +1444,7 @@ Expected<ResultSet> execute_query_brute_force(const PropertyGraph& graph,
           continue;
         }
         AggAccumulator acc;
-        for (const Row& row : members) acc.fold(item, graph, row);
+        for (const Row& row : members) acc.fold(item, graph, row.at(item.var));
         out.push_back(acc.result(item));
       }
       cells.push_back(std::move(out));
@@ -1419,61 +1452,17 @@ Expected<ResultSet> execute_query_brute_force(const PropertyGraph& graph,
   } else {
     cells = project_rows(query, rows.value());
   }
-  result.rows = order_and_page(graph, query, std::move(cells), /*top_k=*/false);
+  result.rows = order_and_page(graph, query, std::move(cells));
   return result;
 }
 
 Expected<std::vector<Row>> run_query(const PropertyGraph& graph, const Query& query) {
-  if (query.has_aggregate()) {
-    return Error{"query aggregates; use execute_query for a value table", "query"};
-  }
-  Expected<std::vector<Row>> rows = binding_rows(graph, query, /*brute=*/false);
-  if (!rows.ok()) return rows.error();
-  // Present the same rows execute_query would: ordered and paginated.
-  if (query.order_by.empty() && query.skip == 0 &&
-      query.limit == std::numeric_limits<std::size_t>::max()) {
-    return rows;
-  }
-  std::vector<std::vector<json::Value>> cells = project_rows(query, rows.value());
-  const std::vector<std::vector<json::Value>> paged =
-      order_and_page(graph, query, std::move(cells), /*top_k=*/true);
-  std::vector<Row> out;
-  out.reserve(paged.size());
-  for (const std::vector<json::Value>& row : paged) {
-    Row bindings;
-    for (std::size_t c = 0; c < query.returns.size(); ++c) {
-      bindings[query.returns[c].var] = static_cast<NodeId>(row[c].as_int());
-    }
-    out.push_back(std::move(bindings));
-  }
-  return out;
+  return bindings(graph, query, execute_query);
 }
 
 Expected<std::vector<Row>> run_query_brute_force(const PropertyGraph& graph,
                                                  const Query& query) {
-  if (query.has_aggregate()) {
-    return Error{"query aggregates; use execute_query_brute_force for a value table",
-                 "query"};
-  }
-  Expected<std::vector<Row>> rows = binding_rows(graph, query, /*brute=*/true);
-  if (!rows.ok()) return rows.error();
-  if (query.order_by.empty() && query.skip == 0 &&
-      query.limit == std::numeric_limits<std::size_t>::max()) {
-    return rows;
-  }
-  std::vector<std::vector<json::Value>> cells = project_rows(query, rows.value());
-  const std::vector<std::vector<json::Value>> paged =
-      order_and_page(graph, query, std::move(cells), /*top_k=*/false);
-  std::vector<Row> out;
-  out.reserve(paged.size());
-  for (const std::vector<json::Value>& row : paged) {
-    Row bindings;
-    for (std::size_t c = 0; c < query.returns.size(); ++c) {
-      bindings[query.returns[c].var] = static_cast<NodeId>(row[c].as_int());
-    }
-    out.push_back(std::move(bindings));
-  }
-  return out;
+  return bindings(graph, query, execute_query_brute_force);
 }
 
 Expected<std::vector<Row>> run_query(const PropertyGraph& graph, const std::string& text) {

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <future>
 
-#include "provml/sim/thread_pool.hpp"
+#include "provml/common/thread_pool.hpp"
 
 namespace provml::sim {
 
@@ -33,7 +33,7 @@ std::vector<SweepCell> run_sweep(const std::vector<TrainConfig>& configs, unsign
     }
     return cells;
   }
-  ThreadPool pool(workers);
+  common::ThreadPool pool(workers);
   std::vector<std::future<TrainResult>> futures;
   futures.reserve(configs.size());
   for (const TrainConfig& cfg : configs) {

@@ -14,7 +14,11 @@ TrainResult DdpTrainer::run(const EpochObserver& observer) const {
   const double power = config_.cluster.power_draw_w(config_.ddp.devices, utilization);
 
   std::mt19937_64 rng(config_.seed);
-  std::normal_distribution<double> jitter(0.0, config_.loss_noise_sigma);
+  // A unit normal scaled by sigma: std::normal_distribution requires a
+  // positive stddev, and noise-free runs set sigma to 0. For sigma > 0
+  // the draws and |x * sigma| equal normal_distribution(0, sigma)'s.
+  std::normal_distribution<double> unit_normal(0.0, 1.0);
+  const auto jitter = [&] { return std::abs(unit_normal(rng) * config_.loss_noise_sigma); };
 
   TrainResult result;
   result.step_time_s = step_time;
@@ -39,7 +43,7 @@ TrainResult DdpTrainer::run(const EpochObserver& observer) const {
       result.completed = false;
       result.epochs_finished = epoch;
       result.final_loss = config_.model.loss_after(static_cast<double>(samples_seen)) +
-                          std::abs(jitter(rng));
+                          jitter();
       result.wall_time_s = clock_s;
       result.energy_j = energy_j;
       result.samples_seen = samples_seen;
@@ -50,10 +54,10 @@ TrainResult DdpTrainer::run(const EpochObserver& observer) const {
     energy_j += epoch_time * power;
     samples_seen += steps_per_epoch * config_.ddp.global_batch();
     loss = config_.model.loss_after(static_cast<double>(samples_seen)) +
-           std::abs(jitter(rng));
+           jitter();
     // Drawn unconditionally: observed and unobserved runs must stay
     // bit-identical under the same seed (reproducibility guarantee).
-    const double val_jitter = std::abs(jitter(rng));
+    const double val_jitter = jitter();
 
     if (observer) {
       EpochReport report;

@@ -20,12 +20,14 @@ std::vector<ScalingPoint> synthetic_points(double e, double a, double alpha, dou
                                            double beta, double noise_sigma,
                                            unsigned seed = 7) {
   std::mt19937_64 rng(seed);
-  std::normal_distribution<double> noise(0.0, noise_sigma);
+  // Scaled unit normal: normal_distribution needs a positive stddev, and
+  // the noiseless cases pass 0.
+  std::normal_distribution<double> unit_normal(0.0, 1.0);
   std::vector<ScalingPoint> points;
   for (const double n : {1e8, 2e8, 6e8, 1.4e9}) {
     for (const double d : {1e6, 4e6, 8e6, 2e7}) {
       const double loss = e + a * std::pow(n, -alpha) + b * std::pow(d, -beta);
-      points.push_back({n, d, loss + noise(rng)});
+      points.push_back({n, d, loss + unit_normal(rng) * noise_sigma});
     }
   }
   return points;

@@ -220,6 +220,9 @@ TEST(Shuffle, TransposesAndRestores) {
   const Bytes shuffled = shuffle_bytes(input, 8);
   EXPECT_NE(shuffled, input);
   EXPECT_EQ(unshuffle_bytes(shuffled, 8), input);
+  const Bytes empty;
+  EXPECT_TRUE(shuffle_bytes(empty, 8).empty());
+  EXPECT_TRUE(unshuffle_bytes(empty, 8).empty());
 }
 
 TEST(Shuffle, ElementSizeOneIsIdentity) {

@@ -653,6 +653,8 @@ TEST(QueryDifferential, VariableLengthMatchesOracle) {
       "MATCH (a:Run)<-[:partOf*1..]-(b) RETURN a, b",
       "MATCH (a)-[:produced*2]->(b) RETURN a, b",
       "MATCH (a:Entity)-[*..3]-(b:Run) RETURN a, b",
+      // Plans a reversed walk (anchored on b:Run) on every generated graph.
+      "MATCH (a)-[*1..2]-(b:Run) RETURN a",
   };
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     testkit::Rng rng(seed);
@@ -670,6 +672,8 @@ TEST(QueryDifferential, AggregatesMatchOracle) {
       "MATCH (a:Run)--(b) RETURN a, min(b.score), max(b.score), avg(b.score)",
       "MATCH (a)-->(b) RETURN count(a), avg(a.rank)",
       "MATCH (a)-[*1..2]->(b) RETURN a, count(b), max(b.name)",
+      // Plans a reversed walk (anchored on b:Run) on every generated graph.
+      "MATCH (a)--(b:Run) RETURN b, count(a), avg(a.score)",
   };
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     testkit::Rng rng(seed);
@@ -688,6 +692,9 @@ TEST(QueryDifferential, OrderByAndPaginationMatchOracle) {
       "MATCH (a) RETURN a LIMIT 0",
       "MATCH (a)--(b) RETURN a, count(b) ORDER BY count(b) DESC, a LIMIT 5",
       "MATCH (a) RETURN a SKIP 1000",
+      // Plans a reversed walk (anchored on b:Run) on every generated graph;
+      // b.flag is a bool, so LIMIT 2 cuts through a group of ties.
+      "MATCH (a)--(b:Run) RETURN a, b ORDER BY b.flag LIMIT 2",
   };
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     testkit::Rng rng(seed);
@@ -788,13 +795,20 @@ TEST(QueryCursorEngine, PagesConcatenateToOneShotResult) {
 
 TEST(QueryCursorEngine, MaterializedModesPageIdentically) {
   const PropertyGraph g = training_graph();
-  // ORDER BY and aggregates cannot stream per binding: the cursor pages
-  // over a materialized table instead, still byte-identical in concat.
+  // ORDER BY and aggregates cannot stream per binding, nor can an
+  // unbounded query whose plan reverses: the cursor pages over a
+  // materialized table instead, still byte-identical in concat.
   const char* kQueries[] = {
       "MATCH (e:Entity) RETURN e ORDER BY e.prov_id DESC",
       "MATCH (n) RETURN n ORDER BY n.prov_id SKIP 1 LIMIT 2",
       "MATCH (a:Activity)<-[:wasGeneratedBy]-(e) RETURN a, count(e)",
       "MATCH (n) RETURN count(n)",
+      // These plan a reversed walk, anchored on the one run activity. The
+      // ORDER BY's two rows tie on `a`, so LIMIT 1 must keep the first.
+      "MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity {prov_id: \"ex:run\"}) RETURN a, count(e)",
+      "MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity {prov_id: \"ex:run\"}) "
+      "RETURN e, a ORDER BY a LIMIT 1",
+      "MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity {prov_id: \"ex:run\"}) RETURN e",
   };
   for (const char* text : kQueries) {
     const auto one_shot = execute_query(g, text);

@@ -5,11 +5,11 @@
 #include <numeric>
 #include <set>
 
+#include "provml/common/thread_pool.hpp"
 #include "provml/sim/cluster.hpp"
 #include "provml/sim/ddp.hpp"
 #include "provml/sim/models.hpp"
 #include "provml/sim/sweep.hpp"
-#include "provml/sim/thread_pool.hpp"
 #include "provml/sim/trainer.hpp"
 
 namespace provml::sim {
@@ -325,7 +325,7 @@ TEST(Trainer, FinetuneCheaperThanPretrain) {
 // -------------------------------------------------------------- thread pool
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
+  common::ThreadPool pool(4);
   EXPECT_EQ(pool.worker_count(), 4u);
   std::atomic<int> counter{0};
   std::vector<std::future<int>> futures;
@@ -342,20 +342,20 @@ TEST(ThreadPoolTest, ExecutesAllTasks) {
 }
 
 TEST(ThreadPoolTest, PropagatesExceptions) {
-  ThreadPool pool(2);
+  common::ThreadPool pool(2);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, DefaultUsesHardwareConcurrency) {
-  ThreadPool pool;
+  common::ThreadPool pool;
   EXPECT_GE(pool.worker_count(), 1u);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
   std::atomic<int> done{0};
   {
-    ThreadPool pool(2);
+    common::ThreadPool pool(2);
     for (int i = 0; i < 50; ++i) {
       (void)pool.submit([&done] {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
