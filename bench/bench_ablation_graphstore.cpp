@@ -283,7 +283,6 @@ void BM_DocumentFootprint(benchmark::State& state) {
     {
       const double before = heap_in_use();
       graphstore::PropertyGraph graph;
-      graphstore::preintern_prov_vocabulary(graph);
       for (std::size_t i = 0; i < docs.size(); ++i) {
         (void)graphstore::ingest_document(graph, docs[i], "run_" + std::to_string(i));
       }

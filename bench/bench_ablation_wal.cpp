@@ -1,14 +1,18 @@
-// Ablation: durability cost. Three questions the WAL design trades off:
+// Ablation: durability cost. Four questions the WAL design trades off:
 //   1. Append throughput vs fsync policy — what does an acknowledged-write
 //      durability guarantee cost per mutation?
 //   2. Recovery time vs WAL tail length — how much replay does a crash
 //      after N un-compacted records buy you?
 //   3. Compaction pause — how long does folding a tail into a snapshot
 //      take, as a function of the tail length?
+//   4. Group commit vs appender count — concurrent appenders share
+//      covering fsyncs, so fsyncs/append drops below 1.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "provml/wal/record.hpp"
 #include "provml/wal/wal.hpp"
@@ -136,6 +140,55 @@ BENCHMARK(BM_WalCompactionPause)
     ->Arg(100)
     ->Arg(1000)
     ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+
+/// Group-commit WAL: concurrent appenders against one kEveryWrite store.
+/// The counter to watch is fsyncs_per_append — 1.0 single-threaded by
+/// construction, below 1.0 as soon as appenders overlap and share
+/// covering fsyncs. Timed on the wall clock: the appenders are threads.
+void BM_WalGroupCommitAppend(benchmark::State& state) {
+  const int appenders = static_cast<int>(state.range(0));
+  constexpr int kAppendsEach = 16;
+  const std::string dir = bench_dir("group_commit_" + std::to_string(appenders));
+  wal::Options options;
+  options.fsync_policy = wal::FsyncPolicy::kEveryWrite;
+  options.compact_every = 0;
+  auto store = wal::DurableStore::open(dir, options);
+  if (!store.ok()) {
+    state.SkipWithError(store.error().message.c_str());
+    return;
+  }
+  const std::string body(256, 'p');
+  for (auto _ : state) {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(appenders));
+    for (int t = 0; t < appenders; ++t) {
+      threads.emplace_back([&store, &body, t] {
+        for (int i = 0; i < kAppendsEach; ++i) {
+          auto lsn = store.value()->append(
+              {wal::Record::Type::kPutDocument,
+               "doc" + std::to_string(t * kAppendsEach + i), body});
+          benchmark::DoNotOptimize(lsn.ok());
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const wal::Stats stats = store.value()->stats();
+  state.SetItemsProcessed(static_cast<std::int64_t>(stats.appends));
+  state.counters["fsyncs_per_append"] =
+      stats.appends == 0 ? 0.0
+                         : static_cast<double>(stats.fsyncs) /
+                               static_cast<double>(stats.appends);
+  state.SetLabel(std::to_string(appenders) + " appender(s)");
+  store.value().reset();
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_WalGroupCommitAppend)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <csignal>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,8 +34,6 @@
 
 namespace provml::cli {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Splits args into positionals and --key value options.
 struct ParsedArgs {
@@ -144,7 +141,11 @@ int cmd_lineage(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   }
   std::size_t depth = 0;
   const auto depth_opt = args.options.find("depth");
-  if (depth_opt != args.options.end()) depth = std::stoul(depth_opt->second);
+  if (depth_opt != args.options.end()) {
+    const auto value = strings::to_int64(depth_opt->second);
+    if (!value || *value < 0) return fail(err, "invalid --depth (>= 0, 0 = unbounded)");
+    depth = static_cast<std::size_t>(*value);
+  }
   for (const explorer::LineageHop& hop :
        explorer::lineage(doc.value(), args.positional[1], direction, depth)) {
     out << std::string(hop.depth * 2, ' ') << hop.id << "  (via " << hop.via << ")\n";
@@ -160,23 +161,8 @@ int cmd_ingest(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   // Mutations go through the WAL, so every ingested document is durable
   // the moment its line prints — a crash mid-batch keeps the prefix.
   graphstore::YProvService service;
-  const bool legacy_only = !wal::store_exists(store_dir) &&
-                           fs::exists(fs::path(store_dir) / "index.json");
   Status attached = service.attach_wal(store_dir);
   if (!attached.ok()) return fail(err, attached.error().to_string());
-  if (legacy_only) {
-    // Upgrade path: replay the legacy index.json store into the WAL once.
-    auto loaded = graphstore::YProvService::load(store_dir);
-    if (!loaded.ok()) return fail(err, loaded.error().to_string());
-    for (const std::string& name : loaded.value().list_documents()) {
-      const std::optional<prov::Document> doc = loaded.value().get_document(name);
-      if (!doc.has_value()) continue;
-      Status s = service.put_document(name, *doc);
-      if (!s.ok()) return fail(err, s.error().to_string());
-    }
-    out << "migrated legacy store (" << loaded.value().document_count()
-        << " document(s)) to the WAL layout\n";
-  }
   for (std::size_t i = 1; i < args.positional.size(); ++i) {
     const std::string& pair = args.positional[i];
     const std::size_t eq = pair.find('=');
@@ -259,7 +245,11 @@ int cmd_subgraph(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (!doc.ok()) return fail(err, doc.error().to_string());
   explorer::SubgraphOptions options;
   const auto hops = args.options.find("hops");
-  if (hops != args.options.end()) options.max_hops = std::stoul(hops->second);
+  if (hops != args.options.end()) {
+    const auto value = strings::to_int64(hops->second);
+    if (!value || *value < 0) return fail(err, "invalid --hops (>= 0)");
+    options.max_hops = static_cast<std::size_t>(*value);
+  }
   auto sub = explorer::extract_subgraph(doc.value(), args.positional[1], options);
   if (!sub.ok()) return fail(err, sub.error().to_string());
   const auto out_path = args.options.find("out");
@@ -430,7 +420,11 @@ int cmd_predict(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   }
   std::size_t k = 3;
   const auto k_opt = args.options.find("k");
-  if (k_opt != args.options.end()) k = std::stoul(k_opt->second);
+  if (k_opt != args.options.end()) {
+    const auto value = strings::to_int64(k_opt->second);
+    if (!value || *value < 1) return fail(err, "invalid --k (>= 1)");
+    k = static_cast<std::size_t>(*value);
+  }
   auto prediction = db.value().predict(query, args.positional[1], k);
   if (!prediction.ok()) return fail(err, prediction.error().to_string());
   out << args.positional[1] << " = " << prediction.value().value
@@ -635,16 +629,6 @@ int cmd_serve(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     app_options.cache_capacity = static_cast<std::size_t>(*value);
   }
 
-  // Graph shard count: stripes the service's lock so writers to different
-  // documents stop contending. Rounded up to a power of two.
-  std::size_t shards = 1;
-  const auto shards_opt = args.options.find("shards");
-  if (shards_opt != args.options.end()) {
-    const auto value = strings::to_int64(shards_opt->second);
-    if (!value || *value < 1 || *value > 256) return fail(err, "invalid --shards (1..256)");
-    shards = static_cast<std::size_t>(*value);
-  }
-
   // Durability options. --snapshot used to mean "load at start, save on
   // clean shutdown" — which silently lost every write on a crash. It is
   // now an alias for --data-dir, so both spellings get the WAL: every
@@ -675,17 +659,8 @@ int cmd_serve(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     return fail(err, "--fsync/--wal-segment-bytes require --data-dir");
   }
 
-  net::YProvHttpApp app(graphstore::YProvService(shards), app_options);
+  net::YProvHttpApp app(graphstore::YProvService(), app_options);
   if (!data_dir.empty()) {
-    // Pre-WAL stores only hold index.json; migrate them through load().
-    if (!wal::store_exists(data_dir) &&
-        fs::exists(fs::path(data_dir) / "index.json")) {
-      auto legacy = graphstore::YProvService::load(data_dir);
-      if (!legacy.ok()) return fail(err, legacy.error().to_string());
-      Status migrated = legacy.value().save(data_dir);
-      if (!migrated.ok()) return fail(err, migrated.error().to_string());
-      out << "migrated legacy store at " << data_dir << " to the WAL layout\n";
-    }
     Status attached = app.service().attach_wal(data_dir, wal_options);
     if (!attached.ok()) return fail(err, attached.error().to_string());
     out << "loaded " << app.service().document_count() << " document(s) from "
@@ -705,8 +680,7 @@ int cmd_serve(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   Status started = server.start();
   if (!started.ok()) return fail(err, started.error().to_string());
   out << "yprov service listening on http://" << config.host << ":" << server.port()
-      << " (epoll event loop, " << config.threads << " worker thread(s), "
-      << app.service().shard_count() << " graph shard(s), ";
+      << " (epoll event loop, " << config.threads << " worker thread(s), ";
   if (config.max_connections > 0) {
     out << "max " << config.max_connections << " connection(s), ";
   }
@@ -761,7 +735,7 @@ std::string usage() {
          "  query --url <svc> '<MATCH ...>' [--explain] [--page-size N]\n"
          "                                      the same over HTTP (pages\n"
          "                                      via the cursor protocol)\n"
-         "  serve [--port N] [--threads K] [--shards N] [--data-dir DIR] [--cache N]\n"
+         "  serve [--port N] [--threads K] [--data-dir DIR] [--cache N]\n"
          "        [--max-connections N] [--fsync every_write|interval|none]\n"
          "        [--wal-segment-bytes N]\n"
          "                                      run the yProv HTTP service;\n"

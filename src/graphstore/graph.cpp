@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
-#include <mutex>
 
 namespace provml::graphstore {
 namespace {
@@ -46,9 +45,8 @@ std::size_t hash_value(const json::Value& v) {
   return seed;
 }
 
-/// Adds `id` to ascending postings. Ingest allocates ids in ascending
-/// order within a shard, so this is an append except when set_property
-/// re-indexes an older node.
+/// Adds `id` to ascending postings. Ids are allocated in ascending order,
+/// so this is an append except when set_property re-indexes an older node.
 void insert_posting(std::vector<NodeId>& postings, NodeId id) {
   if (postings.empty() || postings.back() < id) {
     postings.push_back(id);
@@ -63,15 +61,6 @@ void erase_posting(std::vector<NodeId>& postings, NodeId id) {
   if (it != postings.end() && *it == id) postings.erase(it);
 }
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::size_t PropertyGraph::PropKeyHash::operator()(const PropKey& k) const {
@@ -80,140 +69,77 @@ std::size_t PropertyGraph::PropKeyHash::operator()(const PropKey& k) const {
   return hash_mix(seed, hash_value(k.value));
 }
 
-PropertyGraph::PropertyGraph(std::size_t shard_count)
-    : interner_(std::make_unique<Interner>()) {
-  if (shard_count < 1) shard_count = 1;
-  if (shard_count > kMaxShards) shard_count = kMaxShards;
-  std::size_t rounded = 1;
-  std::uint32_t bits = 0;
-  while (rounded < shard_count) {
-    rounded <<= 1;
-    ++bits;
-  }
-  shards_.resize(rounded);
-  shard_bits_ = bits;
-  shard_mask_ = static_cast<std::uint64_t>(rounded - 1);
-}
-
-std::size_t PropertyGraph::shard_for_scope(const std::string& scope) const {
-  return static_cast<std::size_t>(fnv1a64(scope) & shard_mask_);
-}
-
 std::optional<PropertyGraph::LabelId> PropertyGraph::label_id(const std::string& label) const {
-  const std::shared_lock<std::shared_mutex> lock(interner_->mutex);
-  const auto it = interner_->label_ids.find(label);
-  if (it == interner_->label_ids.end()) return std::nullopt;
+  const auto it = label_ids_.find(label);
+  if (it == label_ids_.end()) return std::nullopt;
   return it->second;
 }
 
 PropertyGraph::LabelId PropertyGraph::intern_label(const std::string& label) {
-  {
-    const std::shared_lock<std::shared_mutex> lock(interner_->mutex);
-    const auto it = interner_->label_ids.find(label);
-    if (it != interner_->label_ids.end()) return it->second;
-  }
-  const std::unique_lock<std::shared_mutex> lock(interner_->mutex);
-  const auto it = interner_->label_ids.find(label);
-  if (it != interner_->label_ids.end()) return it->second;  // raced another writer
-  const LabelId id = static_cast<LabelId>(interner_->label_ids.size());
-  interner_->label_ids.emplace(label, id);
-  return id;
+  return label_ids_.try_emplace(label, static_cast<LabelId>(label_ids_.size())).first->second;
 }
 
 std::optional<PropertyGraph::TypeId> PropertyGraph::type_id(const std::string& type) const {
-  const std::shared_lock<std::shared_mutex> lock(interner_->mutex);
-  const auto it = interner_->type_ids.find(type);
-  if (it == interner_->type_ids.end()) return std::nullopt;
+  const auto it = type_ids_.find(type);
+  if (it == type_ids_.end()) return std::nullopt;
   return it->second;
 }
 
 PropertyGraph::TypeId PropertyGraph::intern_type(const std::string& type) {
-  {
-    const std::shared_lock<std::shared_mutex> lock(interner_->mutex);
-    const auto it = interner_->type_ids.find(type);
-    if (it != interner_->type_ids.end()) return it->second;
-  }
-  const std::unique_lock<std::shared_mutex> lock(interner_->mutex);
-  const auto it = interner_->type_ids.find(type);
-  if (it != interner_->type_ids.end()) return it->second;  // raced another writer
-  const TypeId id = static_cast<TypeId>(interner_->type_ids.size());
-  interner_->type_ids.emplace(type, id);
-  return id;
+  return type_ids_.try_emplace(type, static_cast<TypeId>(type_ids_.size())).first->second;
 }
 
-void PropertyGraph::preintern(const std::vector<std::string>& labels,
-                              const std::vector<std::string>& edge_types) {
-  const std::unique_lock<std::shared_mutex> lock(interner_->mutex);
-  for (const std::string& label : labels) {
-    if (interner_->label_ids.count(label) != 0) continue;
-    interner_->label_ids.emplace(label, static_cast<LabelId>(interner_->label_ids.size()));
-  }
-  for (const std::string& type : edge_types) {
-    if (interner_->type_ids.count(type) != 0) continue;
-    interner_->type_ids.emplace(type, static_cast<TypeId>(interner_->type_ids.size()));
-  }
-}
-
-void PropertyGraph::index_node(Shard& shard, const Node& n) {
+void PropertyGraph::index_node(const Node& n) {
   for (const std::string& label : n.labels) {
     const LabelId lid = intern_label(label);
-    if (shard.label_index.size() <= lid) shard.label_index.resize(lid + 1);
-    insert_posting(shard.label_index[lid], n.id);
+    if (label_index_.size() <= lid) label_index_.resize(lid + 1);
+    insert_posting(label_index_[lid], n.id);
     for (const auto& [key, value] : n.properties) {
-      insert_posting(shard.prop_index[PropKey{lid, key, value}], n.id);
+      insert_posting(prop_index_[PropKey{lid, key, value}], n.id);
     }
   }
 }
 
-void PropertyGraph::unindex_node(Shard& shard, const Node& n) {
+void PropertyGraph::unindex_node(const Node& n) {
   for (const std::string& label : n.labels) {
     const std::optional<LabelId> lid = label_id(label);
     if (!lid) continue;
-    if (*lid < shard.label_index.size()) erase_posting(shard.label_index[*lid], n.id);
+    if (*lid < label_index_.size()) erase_posting(label_index_[*lid], n.id);
     for (const auto& [key, value] : n.properties) {
-      const auto it = shard.prop_index.find(PropKey{*lid, key, value});
-      if (it != shard.prop_index.end()) {
+      const auto it = prop_index_.find(PropKey{*lid, key, value});
+      if (it != prop_index_.end()) {
         erase_posting(it->second, n.id);
-        if (it->second.empty()) shard.prop_index.erase(it);
+        if (it->second.empty()) prop_index_.erase(it);
       }
     }
   }
 }
 
-NodeId PropertyGraph::add_node(std::set<std::string> labels, json::Object properties,
-                               std::size_t shard) {
-  shard &= static_cast<std::size_t>(shard_mask_);
-  Shard& s = shards_[shard];
-  const NodeId id = make_id(shard, s.next_node++);
+NodeId PropertyGraph::add_node(std::set<std::string> labels, json::Object properties) {
+  const NodeId id = next_node_++;
   Node n{id, std::move(labels), std::move(properties)};
-  index_node(s, n);
-  s.nodes.emplace(id, std::move(n));
+  index_node(n);
+  nodes_.emplace(id, std::move(n));
   return id;
 }
 
 Expected<EdgeId> PropertyGraph::add_edge(NodeId from, NodeId to, std::string type,
                                          json::Object properties) {
-  Shard& sf = shards_[shard_of(from)];
-  Shard& st = shards_[shard_of(to)];
-  if (sf.nodes.count(from) == 0) return Error{"unknown source node", std::to_string(from)};
-  if (st.nodes.count(to) == 0) return Error{"unknown target node", std::to_string(to)};
-  // The edge record, its id sequence, and its type count live in the source
-  // node's shard, so shard_of(edge id) routes straight to the record.
-  const EdgeId id = make_id(shard_of(from), sf.next_edge++);
+  if (nodes_.count(from) == 0) return Error{"unknown source node", std::to_string(from)};
+  if (nodes_.count(to) == 0) return Error{"unknown target node", std::to_string(to)};
+  const EdgeId id = next_edge_++;
   const TypeId tid = intern_type(type);
-  if (sf.type_counts.size() <= tid) sf.type_counts.resize(tid + 1, 0);
-  ++sf.type_counts[tid];
-  sf.edges.emplace(id, Edge{id, from, to, std::move(type), std::move(properties)});
-  sf.out[from].push_back({tid, id});
-  st.in[to].push_back({tid, id});
+  if (type_counts_.size() <= tid) type_counts_.resize(tid + 1, 0);
+  ++type_counts_[tid];
+  edges_.emplace(id, Edge{id, from, to, std::move(type), std::move(properties)});
+  out_[from].push_back({tid, id});
+  in_[to].push_back({tid, id});
   return id;
 }
 
 void PropertyGraph::unlink_edge(const Edge& e) {
-  Shard& sf = shards_[shard_of(e.from)];
-  Shard& st = shards_[shard_of(e.to)];
   const std::optional<TypeId> tid = type_id(e.type);
-  if (tid && *tid < sf.type_counts.size() && sf.type_counts[*tid] > 0) --sf.type_counts[*tid];
+  if (tid && *tid < type_counts_.size() && type_counts_[*tid] > 0) --type_counts_[*tid];
   auto drop = [&](std::unordered_map<NodeId, Adjacency>& table, NodeId node) {
     const auto it = table.find(node);
     if (it == table.end()) return;
@@ -222,174 +148,107 @@ void PropertyGraph::unlink_edge(const Edge& e) {
                              [&](const AdjacentEdge& a) { return a.edge == e.id; }),
               adj.end());
   };
-  drop(sf.out, e.from);
-  drop(st.in, e.to);
+  drop(out_, e.from);
+  drop(in_, e.to);
 }
 
 Status PropertyGraph::remove_node(NodeId id) {
-  Shard& s = shards_[shard_of(id)];
-  const auto it = s.nodes.find(id);
-  if (it == s.nodes.end()) return Error{"unknown node", std::to_string(id)};
+  const auto it = nodes_.find(id);
+  if (it == nodes_.end()) return Error{"unknown node", std::to_string(id)};
   // Collect incident edges first: erasing mutates the adjacency tables.
   std::vector<EdgeId> incident;
   for (const Direction dir : {Direction::kOut, Direction::kIn}) {
     for (const EdgeId e : edges_of(id, dir)) incident.push_back(e);
   }
   for (const EdgeId eid : incident) {
-    Shard& home = shards_[shard_of(eid)];
-    const auto eit = home.edges.find(eid);
-    if (eit == home.edges.end()) continue;
+    const auto eit = edges_.find(eid);
+    if (eit == edges_.end()) continue;
     unlink_edge(eit->second);
-    home.edges.erase(eit);
+    edges_.erase(eit);
   }
-  unindex_node(s, it->second);
-  s.out.erase(id);
-  s.in.erase(id);
-  s.nodes.erase(it);
+  unindex_node(it->second);
+  out_.erase(id);
+  in_.erase(id);
+  nodes_.erase(it);
   return Status::ok_status();
 }
 
 void PropertyGraph::set_property(NodeId id, const std::string& key, json::Value value) {
-  Shard& s = shards_[shard_of(id)];
-  const auto it = s.nodes.find(id);
-  if (it == s.nodes.end()) return;
-  unindex_node(s, it->second);
+  const auto it = nodes_.find(id);
+  if (it == nodes_.end()) return;
+  unindex_node(it->second);
   it->second.properties.set(key, std::move(value));
-  index_node(s, it->second);
+  index_node(it->second);
 }
 
 const Node* PropertyGraph::node(NodeId id) const {
-  const Shard& s = shards_[shard_of(id)];
-  const auto it = s.nodes.find(id);
-  return it == s.nodes.end() ? nullptr : &it->second;
+  const auto it = nodes_.find(id);
+  return it == nodes_.end() ? nullptr : &it->second;
 }
 
 const Edge* PropertyGraph::edge(EdgeId id) const {
-  const Shard& s = shards_[shard_of(id)];
-  const auto it = s.edges.find(id);
-  return it == s.edges.end() ? nullptr : &it->second;
+  const auto it = edges_.find(id);
+  return it == edges_.end() ? nullptr : &it->second;
 }
 
-std::size_t PropertyGraph::node_count() const {
-  std::size_t n = 0;
-  for (const Shard& s : shards_) n += s.nodes.size();
-  return n;
-}
+std::size_t PropertyGraph::node_count() const { return nodes_.size(); }
 
-std::size_t PropertyGraph::edge_count() const {
-  std::size_t n = 0;
-  for (const Shard& s : shards_) n += s.edges.size();
-  return n;
-}
-
-std::size_t PropertyGraph::node_count_in_shard(std::size_t shard) const {
-  return shard < shards_.size() ? shards_[shard].nodes.size() : 0;
-}
-
-std::size_t PropertyGraph::edge_count_in_shard(std::size_t shard) const {
-  return shard < shards_.size() ? shards_[shard].edges.size() : 0;
-}
+std::size_t PropertyGraph::edge_count() const { return edges_.size(); }
 
 std::vector<NodeId> PropertyGraph::node_ids() const {
   std::vector<NodeId> out;
-  out.reserve(node_count());
-  for (const Shard& s : shards_) {
-    for (const auto& [id, n] : s.nodes) out.push_back(id);
-  }
+  out.reserve(nodes_.size());
+  for (const auto& [id, n] : nodes_) out.push_back(id);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<NodeId> PropertyGraph::nodes_with_label(const std::string& label) const {
   const std::optional<LabelId> lid = label_id(label);
-  if (!lid) return {};
-  std::vector<NodeId> out;
-  for (const Shard& s : shards_) {
-    if (*lid >= s.label_index.size()) continue;
-    const Postings& postings = s.label_index[*lid];
-    out.insert(out.end(), postings.begin(), postings.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  if (!lid || *lid >= label_index_.size()) return {};
+  return label_index_[*lid];
 }
 
 std::vector<NodeId> PropertyGraph::find(const std::string& label, const std::string& key,
                                         const json::Value& value) const {
   const std::optional<LabelId> lid = label_id(label);
   if (!lid) return {};
-  const PropKey probe{*lid, key, value};
-  std::vector<NodeId> out;
-  for (const Shard& s : shards_) {
-    const auto it = s.prop_index.find(probe);
-    if (it == s.prop_index.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<NodeId> PropertyGraph::find_in_shard(std::size_t shard, const std::string& label,
-                                                 const std::string& key,
-                                                 const json::Value& value) const {
-  if (shard >= shards_.size()) return {};
-  const std::optional<LabelId> lid = label_id(label);
-  if (!lid) return {};
-  const auto it = shards_[shard].prop_index.find(PropKey{*lid, key, value});
-  if (it == shards_[shard].prop_index.end()) return {};
-  return {it->second.begin(), it->second.end()};
+  const auto it = prop_index_.find(PropKey{*lid, key, value});
+  if (it == prop_index_.end()) return {};
+  return it->second;
 }
 
 std::optional<NodeId> PropertyGraph::find_one(const std::string& label, const std::string& key,
                                               const json::Value& value) const {
   const std::optional<LabelId> lid = label_id(label);
   if (!lid) return std::nullopt;
-  const PropKey probe{*lid, key, value};
-  std::optional<NodeId> best;
-  for (const Shard& s : shards_) {
-    const auto it = s.prop_index.find(probe);
-    if (it == s.prop_index.end() || it->second.empty()) continue;
-    const NodeId first = it->second.front();
-    if (!best || first < *best) best = first;
-  }
-  return best;
+  const auto it = prop_index_.find(PropKey{*lid, key, value});
+  if (it == prop_index_.end() || it->second.empty()) return std::nullopt;
+  return it->second.front();
 }
 
 std::size_t PropertyGraph::count_with_label(const std::string& label) const {
   const std::optional<LabelId> lid = label_id(label);
-  if (!lid) return 0;
-  std::size_t n = 0;
-  for (const Shard& s : shards_) {
-    if (*lid < s.label_index.size()) n += s.label_index[*lid].size();
-  }
-  return n;
+  if (!lid || *lid >= label_index_.size()) return 0;
+  return label_index_[*lid].size();
 }
 
 std::size_t PropertyGraph::count_with_edge_type(const std::string& type) const {
   const std::optional<TypeId> tid = type_id(type);
-  if (!tid) return 0;
-  std::size_t n = 0;
-  for (const Shard& s : shards_) {
-    if (*tid < s.type_counts.size()) n += s.type_counts[*tid];
-  }
-  return n;
+  if (!tid || *tid >= type_counts_.size()) return 0;
+  return type_counts_[*tid];
 }
 
 std::size_t PropertyGraph::count_with_property(const std::string& label, const std::string& key,
                                                const json::Value& value) const {
   const std::optional<LabelId> lid = label_id(label);
   if (!lid) return 0;
-  const PropKey probe{*lid, key, value};
-  std::size_t n = 0;
-  for (const Shard& s : shards_) {
-    const auto it = s.prop_index.find(probe);
-    if (it != s.prop_index.end()) n += it->second.size();
-  }
-  return n;
+  const auto it = prop_index_.find(PropKey{*lid, key, value});
+  return it == prop_index_.end() ? 0 : it->second.size();
 }
 
 const PropertyGraph::Adjacency* PropertyGraph::adjacency(NodeId id, bool outgoing) const {
-  const Shard& s = shards_[shard_of(id)];
-  const auto& table = outgoing ? s.out : s.in;
+  const auto& table = outgoing ? out_ : in_;
   const auto it = table.find(id);
   return it == table.end() ? nullptr : &it->second;
 }

@@ -3,50 +3,27 @@
 // paper (Fiore et al. 2023). Supports labeled nodes/edges with JSON
 // properties, a (label, key, value) equality index, and BFS traversals.
 //
-// Internals are built for a read-dominated service under concurrent
-// mutation: the engine is *sharded*. Every table — nodes, edges,
-// adjacency, per-label posting lists, the equality index, per-edge-type
-// counts — is partitioned into a power-of-two number of shards, and ids
-// encode their home shard in the low bits:
+// Node and edge ids are dense sequences 1, 2, 3, … in creation order.
 //
-//   id = (per_shard_sequence << shard_bits) | shard        shard = id & mask
-//
-// so routing any id to its tables is one AND. A single-shard graph
-// (the default) allocates ids 1, 2, 3, … exactly as the pre-sharding
-// engine did. Scoped allocation (`shard_for_scope`) lets an ingest layer
-// place one document's whole subgraph in one shard, which is what makes
-// striped service locking and parallel bulk ingest possible: writers to
-// different shards touch disjoint tables.
-//
-// Concurrency contract: the graph itself carries no per-shard locks —
-// callers synchronize shard access externally (YProvService stripes one
-// shared_mutex per shard). Two mutators may run concurrently iff they
-// touch different shards; note that add_edge/remove_node touch the shards
-// of *both* endpoints, so concurrent mutators must stick to same-shard
-// edges (ingest-placed documents do by construction). Label/edge-type
-// interning is shared state and is internally synchronized with its own
-// reader/writer lock, so cross-shard writers may intern concurrently.
+// Concurrency contract: the graph carries no locks. Const members only
+// read, so any number of readers may run together; a mutator needs the
+// graph to itself. YProvService provides both with one shared_mutex.
 //
 // Labels and edge types are interned to small integer ids, every label
-// keeps a posting list of its nodes per shard, and the equality index is
-// keyed on a structured (label_id, key, value) tuple — no string
-// concatenation on any lookup. Posting lists are sorted flat vectors: ids
-// grow within a shard, so ingest only appends, and the rare out-of-order
-// insert (set_property on an older node) or removal binary-searches. Each
-// node's adjacency is one insertion-ordered vector of (edge type, edge id)
-// per direction; a typed lookup filters it. Both keep the heap cost of a
-// stored document close to the size of its own data.
-// Posting-list sizes aggregate across shards behind the same O(shards)
-// planner API (`count_with_label` & co.), so the query planner and both
-// matchers are unaffected by the partitioning.
+// keeps a posting list of its nodes, and the equality index is keyed on a
+// structured (label_id, key, value) tuple — no string concatenation on
+// any lookup. Posting lists are sorted flat vectors: ids only grow, so
+// ingest only appends, and the rare out-of-order insert (set_property on
+// an older node) or removal binary-searches. Each node's adjacency is one
+// insertion-ordered vector of (edge type, edge id) per direction; a typed
+// lookup filters it. Both keep the heap cost of a stored document close
+// to the size of its own data.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -77,41 +54,8 @@ enum class Direction { kOut, kIn, kBoth };
 
 class PropertyGraph {
  public:
-  /// `shard_count` is rounded up to a power of two and clamped to
-  /// [1, kMaxShards]. One shard (the default) reproduces the unsharded
-  /// engine bit-for-bit, ids included.
-  explicit PropertyGraph(std::size_t shard_count = 1);
-
-  static constexpr std::size_t kMaxShards = 256;
-
-  // Movable (rebuilds and load() swap graphs); not copyable — the interner
-  // owns a mutex.
-  PropertyGraph(PropertyGraph&&) noexcept = default;
-  PropertyGraph& operator=(PropertyGraph&&) noexcept = default;
-
-  // -- sharding --------------------------------------------------------------
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// Home shard of a node or edge id. O(1), a bitmask.
-  [[nodiscard]] std::size_t shard_of(std::uint64_t id) const {
-    return static_cast<std::size_t>(id & shard_mask_);
-  }
-  /// Deterministic shard for a scope key (a document name): FNV-1a masked
-  /// to the shard count. Ingest places a document's whole subgraph here.
-  [[nodiscard]] std::size_t shard_for_scope(const std::string& scope) const;
-
-  /// Pre-interns labels and edge types so subsequent concurrent mutators
-  /// mostly take the interner's *shared* lock. Callers must hold every
-  /// shard exclusively (it is a serial-prologue operation).
-  void preintern(const std::vector<std::string>& labels,
-                 const std::vector<std::string>& edge_types);
-
   // -- mutation ------------------------------------------------------------
-  /// Adds a node to `shard` (clamped by mask). The default shard keeps the
-  /// legacy single-shard call sites untouched.
-  NodeId add_node(std::set<std::string> labels, json::Object properties = {},
-                  std::size_t shard = 0);
-  /// The edge lives in `from`'s shard; its adjacency entries live in the
-  /// shards of both endpoints (same shard for ingest-placed documents).
+  NodeId add_node(std::set<std::string> labels, json::Object properties = {});
   [[nodiscard]] Expected<EdgeId> add_edge(NodeId from, NodeId to, std::string type,
                                           json::Object properties = {});
   [[nodiscard]] Status remove_node(NodeId id);  ///< also removes incident edges
@@ -122,8 +66,6 @@ class PropertyGraph {
   [[nodiscard]] const Edge* edge(EdgeId id) const;
   [[nodiscard]] std::size_t node_count() const;
   [[nodiscard]] std::size_t edge_count() const;
-  [[nodiscard]] std::size_t node_count_in_shard(std::size_t shard) const;
-  [[nodiscard]] std::size_t edge_count_in_shard(std::size_t shard) const;
 
   /// All node ids, ascending.
   [[nodiscard]] std::vector<NodeId> node_ids() const;
@@ -136,33 +78,24 @@ class PropertyGraph {
   [[nodiscard]] std::vector<NodeId> find(const std::string& label, const std::string& key,
                                          const json::Value& value) const;
 
-  /// The same equality match restricted to one shard's index — what a
-  /// striped writer uses so it never reads tables another writer may be
-  /// mutating.
-  [[nodiscard]] std::vector<NodeId> find_in_shard(std::size_t shard,
-                                                  const std::string& label,
-                                                  const std::string& key,
-                                                  const json::Value& value) const;
-
   /// First match (smallest id) or nullopt.
   [[nodiscard]] std::optional<NodeId> find_one(const std::string& label,
                                                const std::string& key,
                                                const json::Value& value) const;
 
   // -- planner statistics ------------------------------------------------------
-  /// Posting-list size of `label` (0 when never seen), summed across
-  /// shards. O(shards) hash lookups.
+  /// Posting-list size of `label` (0 when never seen). O(1).
   [[nodiscard]] std::size_t count_with_label(const std::string& label) const;
 
   /// Posting-list size of the (label, key, value) equality index entry
-  /// without materializing the matches, summed across shards.
+  /// without materializing the matches.
   [[nodiscard]] std::size_t count_with_property(const std::string& label,
                                                 const std::string& key,
                                                 const json::Value& value) const;
 
-  /// Number of live edges carrying `type` (0 when never seen), summed
-  /// across shards; maintained incrementally so the query planner can
-  /// estimate per-type fan-out without touching the edge tables.
+  /// Number of live edges carrying `type` (0 when never seen); maintained
+  /// incrementally so the query planner can estimate per-type fan-out
+  /// without touching the edge tables.
   [[nodiscard]] std::size_t count_with_edge_type(const std::string& type) const;
 
   /// Incident-edge count in the given direction. O(1).
@@ -218,49 +151,28 @@ class PropertyGraph {
   /// Node ids, ascending and unique.
   using Postings = std::vector<NodeId>;
 
-  /// One partition: every table a mutator of this shard touches. No locks
-  /// here — the caller stripes access per shard.
-  struct Shard {
-    std::unordered_map<NodeId, Node> nodes;
-    std::unordered_map<EdgeId, Edge> edges;
-    std::unordered_map<NodeId, Adjacency> out;
-    std::unordered_map<NodeId, Adjacency> in;
-    std::vector<Postings> label_index;     ///< postings by LabelId
-    std::vector<std::size_t> type_counts;  ///< live-edge counts by TypeId
-    std::unordered_map<PropKey, Postings, PropKeyHash> prop_index;
-    NodeId next_node = 1;  ///< per-shard sequence (low bits carry the shard)
-    EdgeId next_edge = 1;
-  };
-
-  /// Shared label/edge-type interning tables. The only cross-shard mutable
-  /// state, guarded by its own reader/writer lock so concurrent writers to
-  /// distinct shards may intern safely. Heap-allocated to keep the graph
-  /// movable.
-  struct Interner {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<std::string, LabelId> label_ids;
-    std::unordered_map<std::string, TypeId> type_ids;
-  };
-
-  [[nodiscard]] std::uint64_t make_id(std::size_t shard, std::uint64_t seq) const {
-    return (seq << shard_bits_) | static_cast<std::uint64_t>(shard);
-  }
-
   [[nodiscard]] std::optional<LabelId> label_id(const std::string& label) const;
   LabelId intern_label(const std::string& label);
   [[nodiscard]] std::optional<TypeId> type_id(const std::string& type) const;
   TypeId intern_type(const std::string& type);
 
-  void index_node(Shard& shard, const Node& n);
-  void unindex_node(Shard& shard, const Node& n);
+  void index_node(const Node& n);
+  void unindex_node(const Node& n);
   void unlink_edge(const Edge& e);
 
   [[nodiscard]] const Adjacency* adjacency(NodeId id, bool outgoing) const;
 
-  std::unique_ptr<Interner> interner_;
-  std::vector<Shard> shards_;
-  std::uint32_t shard_bits_ = 0;
-  std::uint64_t shard_mask_ = 0;
+  std::unordered_map<NodeId, Node> nodes_;
+  std::unordered_map<EdgeId, Edge> edges_;
+  std::unordered_map<NodeId, Adjacency> out_;
+  std::unordered_map<NodeId, Adjacency> in_;
+  std::vector<Postings> label_index_;     ///< postings by LabelId
+  std::vector<std::size_t> type_counts_;  ///< live-edge counts by TypeId
+  std::unordered_map<PropKey, Postings, PropKeyHash> prop_index_;
+  std::unordered_map<std::string, LabelId> label_ids_;
+  std::unordered_map<std::string, TypeId> type_ids_;
+  NodeId next_node_ = 1;
+  EdgeId next_edge_ = 1;
 };
 
 /// GraphViz DOT rendering of the whole graph: node labels prefer the

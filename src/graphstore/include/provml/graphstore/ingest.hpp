@@ -1,12 +1,6 @@
 // PROV → property graph mapping: elements become nodes labeled Entity /
 // Activity / Agent (plus the document name), relations become typed edges.
 // Bundles are flattened with a "bundle" property on their nodes.
-//
-// Placement: a document's entire subgraph lands in the shard named by
-// `graph.shard_for_scope(document_name)`, so every node and edge an ingest
-// creates — and every index lookup it performs — touches exactly one
-// shard. That is the contract striped service locking relies on: two
-// ingests into different shards may run concurrently.
 #pragma once
 
 #include "provml/graphstore/graph.hpp"
@@ -22,25 +16,17 @@ struct IngestStats {
 
 /// Ingests `doc` into `graph` under a document scope name. Elements are
 /// deduplicated per (document, prov id); re-ingesting the same document
-/// merges rather than duplicates. Only the document's home shard is read
-/// or written.
+/// merges rather than duplicates.
 [[nodiscard]] Expected<IngestStats> ingest_document(PropertyGraph& graph,
                                                     const prov::Document& doc,
                                                     const std::string& document_name);
 
 /// Removes every node (and, transitively, edge) a prior ingest of
-/// `document_name` created. Only the document's home shard is touched.
-/// Returns the number of nodes removed (0 when the document was never
-/// ingested).
+/// `document_name` created. Returns the number of nodes removed (0 when
+/// the document was never ingested).
 std::size_t remove_document(PropertyGraph& graph, const std::string& document_name);
 
-/// Interns the PROV vocabulary — the fixed element labels and all relation
-/// edge types — up front, so concurrent per-shard ingests take only the
-/// interner's shared lock. Call while holding every shard exclusively.
-void preintern_prov_vocabulary(PropertyGraph& graph);
-
-/// Finds the node for a prov id within a document scope. Reads only the
-/// document's home shard.
+/// Finds the node for a prov id within a document scope.
 [[nodiscard]] std::optional<NodeId> find_prov_node(const PropertyGraph& graph,
                                                    const std::string& document_name,
                                                    const std::string& prov_id);

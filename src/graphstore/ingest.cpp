@@ -26,42 +26,26 @@ json::Object element_properties(const prov::Element& e, const std::string& docum
   return props;
 }
 
-/// Shard-local variant of find_prov_node: the caller already knows the
-/// document's home shard, so only that shard's index is read — safe while
-/// other shards are being mutated concurrently.
-std::optional<NodeId> find_in_home_shard(const PropertyGraph& graph, std::size_t shard,
-                                         const std::string& document_name,
-                                         const std::string& prov_id) {
-  for (const NodeId id : graph.find_in_shard(shard, "Prov", "prov_id", json::Value(prov_id))) {
-    const Node* n = graph.node(id);
-    const json::Value* doc = n->properties.find("document");
-    if (doc != nullptr && doc->is_string() && doc->as_string() == document_name) {
-      return id;
-    }
-  }
-  return std::nullopt;
-}
-
 Status ingest_scope(PropertyGraph& graph, const prov::Document& doc,
-                    const std::string& document_name, std::size_t shard,
-                    const std::string& bundle, IngestStats& stats) {
+                    const std::string& document_name, const std::string& bundle,
+                    IngestStats& stats) {
   for (const prov::Element& e : doc.elements()) {
     const std::string scoped_id = bundle.empty() ? e.id : bundle + "#" + e.id;
-    if (find_in_home_shard(graph, shard, document_name, scoped_id).has_value()) {
+    if (find_prov_node(graph, document_name, scoped_id).has_value()) {
       ++stats.elements_merged;
       continue;
     }
     json::Object props = element_properties(e, document_name, bundle);
     props.set("prov_id", scoped_id);  // bundle-qualified identity
     props.set("local_id", e.id);
-    graph.add_node({kind_label(e.kind), "Prov"}, std::move(props), shard);
+    graph.add_node({kind_label(e.kind), "Prov"}, std::move(props));
     ++stats.nodes_added;
   }
   for (const prov::Relation& r : doc.relations()) {
     const std::string subject = bundle.empty() ? r.subject : bundle + "#" + r.subject;
     const std::string object = bundle.empty() ? r.object : bundle + "#" + r.object;
-    const auto from = find_in_home_shard(graph, shard, document_name, subject);
-    const auto to = find_in_home_shard(graph, shard, document_name, object);
+    const auto from = find_prov_node(graph, document_name, subject);
+    const auto to = find_prov_node(graph, document_name, object);
     if (!from || !to) {
       return Error{"relation endpoint missing from graph: " +
                        (from ? r.object : r.subject),
@@ -77,7 +61,7 @@ Status ingest_scope(PropertyGraph& graph, const prov::Document& doc,
     ++stats.edges_added;
   }
   for (const auto& [bundle_id, sub] : doc.bundles()) {
-    Status s = ingest_scope(graph, sub, document_name, shard, bundle_id, stats);
+    Status s = ingest_scope(graph, sub, document_name, bundle_id, stats);
     if (!s.ok()) return s;
   }
   return Status::ok_status();
@@ -88,39 +72,33 @@ Status ingest_scope(PropertyGraph& graph, const prov::Document& doc,
 Expected<IngestStats> ingest_document(PropertyGraph& graph, const prov::Document& doc,
                                       const std::string& document_name) {
   IngestStats stats;
-  const std::size_t shard = graph.shard_for_scope(document_name);
-  Status s = ingest_scope(graph, doc, document_name, shard, "", stats);
+  Status s = ingest_scope(graph, doc, document_name, "", stats);
   if (!s.ok()) return s.error();
   return stats;
 }
 
 std::size_t remove_document(PropertyGraph& graph, const std::string& document_name) {
-  const std::size_t shard = graph.shard_for_scope(document_name);
   // Every element node carries document=<name> under the Prov label, so the
-  // shard's equality index enumerates the whole subgraph directly; removing
-  // the nodes removes their edges transitively.
+  // equality index enumerates the whole subgraph directly; removing the
+  // nodes removes their edges transitively.
   const std::vector<NodeId> nodes =
-      graph.find_in_shard(shard, "Prov", "document", json::Value(document_name));
+      graph.find("Prov", "document", json::Value(document_name));
   for (const NodeId id : nodes) {
     (void)graph.remove_node(id);
   }
   return nodes.size();
 }
 
-void preintern_prov_vocabulary(PropertyGraph& graph) {
-  std::vector<std::string> edge_types;
-  edge_types.reserve(prov::kRelationKindCount);
-  for (int k = 0; k < prov::kRelationKindCount; ++k) {
-    edge_types.push_back(prov::relation_spec(static_cast<prov::RelationKind>(k)).json_key);
-  }
-  graph.preintern({"Entity", "Activity", "Agent", "Prov"}, edge_types);
-}
-
 std::optional<NodeId> find_prov_node(const PropertyGraph& graph,
                                      const std::string& document_name,
                                      const std::string& prov_id) {
-  return find_in_home_shard(graph, graph.shard_for_scope(document_name), document_name,
-                            prov_id);
+  for (const NodeId id : graph.find("Prov", "prov_id", json::Value(prov_id))) {
+    const json::Value* doc = graph.node(id)->properties.find("document");
+    if (doc != nullptr && doc->is_string() && doc->as_string() == document_name) {
+      return id;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace provml::graphstore

@@ -1,9 +1,7 @@
 #include "provml/graphstore/service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <future>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -12,7 +10,6 @@
 #include <utility>
 
 #include "provml/common/strings.hpp"
-#include "provml/common/thread_pool.hpp"
 #include "provml/graphstore/query.hpp"
 #include "provml/json/parse.hpp"
 #include "provml/json/write.hpp"
@@ -57,7 +54,7 @@ Error wal_error(const Error& error) {
 /// The document a PUT/DELETE targets, when the path is the single-segment
 /// document route — the only routes that mutate. Everything else (unknown
 /// paths, deeper GET-only routes, the collection listing) can only produce
-/// 4xx under a write method, so callers fall back to reader locking.
+/// 4xx under a write method, so callers take the lock shared.
 std::optional<std::string> write_target(const std::string& path) {
   if (!strings::starts_with(path, kDocumentsPrefix)) return std::nullopt;
   std::string rest = path.substr(kDocumentsPrefix.size());
@@ -107,24 +104,16 @@ json::Value edge_summary(const PropertyGraph& graph, const Edge& e, bool outgoin
 
 }  // namespace
 
-YProvService::YProvService(std::size_t shards) : graph_(shards) {
-  stripes_.reserve(graph_.shard_count());
-  for (std::size_t s = 0; s < graph_.shard_count(); ++s) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-  documents_.resize(graph_.shard_count());
-}
+YProvService::YProvService(std::size_t /*ignored*/) {}
 
 YProvService::YProvService(YProvService&& other) noexcept
-    : stripes_(std::move(other.stripes_)),
-      version_(other.version_.load()),
+    : version_(other.version_.load()),
       documents_(std::move(other.documents_)),
       graph_(std::move(other.graph_)),
       wal_(std::move(other.wal_)) {}
 
 YProvService& YProvService::operator=(YProvService&& other) noexcept {
   if (this != &other) {
-    stripes_ = std::move(other.stripes_);
     documents_ = std::move(other.documents_);
     graph_ = std::move(other.graph_);
     wal_ = std::move(other.wal_);
@@ -139,28 +128,9 @@ YProvService& YProvService::operator=(YProvService&& other) noexcept {
   return *this;
 }
 
-std::vector<std::shared_lock<std::shared_mutex>> YProvService::lock_all_shared() const {
-  std::vector<std::shared_lock<std::shared_mutex>> locks;
-  locks.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) locks.emplace_back(stripe->mutex);
-  return locks;
-}
-
-std::vector<std::unique_lock<std::shared_mutex>> YProvService::lock_all_exclusive() {
-  std::vector<std::unique_lock<std::shared_mutex>> locks;
-  locks.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) {
-    locks.emplace_back(stripe->mutex);
-    stripe->writer_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  }
-  return locks;
-}
-
 Status YProvService::put_document(const std::string& name, const prov::Document& doc) {
   std::string body = prov::to_prov_json_string(doc, /*pretty=*/false);
-  Stripe& stripe = *stripes_[shard_for(name)];
-  const std::unique_lock lock(stripe.mutex);
-  stripe.writer_acquisitions.fetch_add(1, std::memory_order_relaxed);
+  const std::unique_lock lock(mutex_);
   return put_document_impl(name, doc, std::move(body));
 }
 
@@ -172,12 +142,10 @@ Status YProvService::put_document_impl(const std::string& name, const prov::Docu
   // Apply to the graph first (ingest can reject the document), log second,
   // store and acknowledge last. A failure puts the previous document back,
   // so the log holds exactly the acknowledged mutations — never more.
-  // Everything here touches only the document's home shard.
-  std::map<std::string, std::string>& docs = documents_[shard_for(name)];
   std::optional<std::string> previous;
-  if (const auto it = docs.find(name); it != docs.end()) {
+  if (const auto it = documents_.find(name); it != documents_.end()) {
     previous = std::move(it->second);
-    docs.erase(it);
+    documents_.erase(it);
     remove_document(graph_, name);  // replace semantics: drop the old nodes
   }
   auto rollback = [&] {
@@ -199,7 +167,7 @@ Status YProvService::put_document_impl(const std::string& name, const prov::Docu
       return wal_error(lsn.error());
     }
   }
-  docs.emplace(name, std::move(body));
+  documents_.emplace(name, std::move(body));
   bump_version();
   return Status::ok_status();
 }
@@ -208,76 +176,45 @@ void YProvService::restore_document(const std::string& name, std::string body) {
   // The bytes parsed and ingested successfully once, so neither step fails.
   Expected<prov::Document> doc = parse_prov_json(body);
   if (doc.ok()) (void)ingest_document(graph_, doc.value(), name);
-  documents_[shard_for(name)][name] = std::move(body);
+  documents_[name] = std::move(body);
 }
 
 Status YProvService::rebuild_graph() {
-  PropertyGraph fresh{shard_count()};
-  preintern_prov_vocabulary(fresh);
-  // Each shard's documents touch only that graph shard (documents are
-  // placed by shard_for_scope), so shards rebuild without locking.
-  std::vector<Status> outcomes(shard_count());
-  auto rebuild_shard = [this, &fresh, &outcomes](std::size_t s) {
-    for (const auto& [name, body] : documents_[s]) {
-      Expected<json::Value> parsed = json::parse(body);
-      if (!parsed.ok()) {
-        outcomes[s] = Error{"wal-recovered document does not parse: " +
-                                parsed.error().message,
-                            name};
-        return;
-      }
-      Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
-      if (!doc.ok()) {
-        outcomes[s] = Error{"wal-recovered document is not PROV-JSON: " +
-                                doc.error().message,
-                            name};
-        return;
-      }
-      // Stored documents ingested successfully once; a failure here would
-      // indicate internal inconsistency, so drop the offender quietly.
-      (void)ingest_document(fresh, doc.value(), name);
+  PropertyGraph fresh;
+  for (const auto& [name, body] : documents_) {
+    Expected<json::Value> parsed = json::parse(body);
+    if (!parsed.ok()) {
+      return Error{"wal-recovered document does not parse: " + parsed.error().message, name};
     }
-  };
-  if (shard_count() == 1) {
-    rebuild_shard(0);
-  } else {
-    std::vector<std::future<void>> done;
-    done.reserve(shard_count());
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      done.push_back(common::ThreadPool::shared().submit([&rebuild_shard, s] {
-        rebuild_shard(s);
-      }));
+    Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
+    if (!doc.ok()) {
+      return Error{"wal-recovered document is not PROV-JSON: " + doc.error().message, name};
     }
-    for (std::future<void>& f : done) f.get();
-  }
-  for (const Status& outcome : outcomes) {
-    if (!outcome.ok()) return outcome;
+    // Stored documents ingested successfully once; a failure here would
+    // indicate internal inconsistency, so drop the offender quietly.
+    (void)ingest_document(fresh, doc.value(), name);
   }
   graph_ = std::move(fresh);
   return Status::ok_status();
 }
 
 std::optional<prov::Document> YProvService::get_document(const std::string& name) const {
-  const std::size_t shard = shard_for(name);
-  const std::shared_lock lock(stripes_[shard]->mutex);
-  const auto it = documents_[shard].find(name);
-  if (it == documents_[shard].end()) return std::nullopt;
+  const std::shared_lock lock(mutex_);
+  const auto it = documents_.find(name);
+  if (it == documents_.end()) return std::nullopt;
   Expected<prov::Document> doc = parse_prov_json(it->second);
   if (!doc.ok()) return std::nullopt;
   return std::move(doc.value());
 }
 
 bool YProvService::delete_document(const std::string& name) {
-  Stripe& stripe = *stripes_[shard_for(name)];
-  const std::unique_lock lock(stripe.mutex);
-  stripe.writer_acquisitions.fetch_add(1, std::memory_order_relaxed);
+  const std::unique_lock lock(mutex_);
   const Expected<bool> deleted = delete_document_impl(name);
   return deleted.ok() && deleted.value();
 }
 
 Expected<bool> YProvService::delete_document_impl(const std::string& name) {
-  std::map<std::string, std::string>& docs = documents_[shard_for(name)];
-  if (docs.count(name) == 0) return false;
+  if (documents_.count(name) == 0) return false;
   // Deletion of a present document cannot fail in memory, so the record
   // can be logged first — no rollback path needed.
   if (wal_ != nullptr) {
@@ -285,153 +222,79 @@ Expected<bool> YProvService::delete_document_impl(const std::string& name) {
         wal_->append({wal::Record::Type::kDeleteDocument, name, std::string()});
     if (!lsn.ok()) return wal_error(lsn.error());
   }
-  docs.erase(name);
-  remove_document(graph_, name);  // shard-local; no global rebuild
+  documents_.erase(name);
+  remove_document(graph_, name);
   bump_version();
   return true;
 }
 
 std::vector<std::string> YProvService::list_documents() const {
-  const auto locks = lock_all_shared();
+  const std::shared_lock lock(mutex_);
   std::vector<std::string> names;
-  names.reserve(document_count_unlocked());
-  for (const auto& docs : documents_) {
-    for (const auto& [name, doc] : docs) names.push_back(name);
-  }
-  std::sort(names.begin(), names.end());
+  names.reserve(documents_.size());
+  for (const auto& [name, doc] : documents_) names.push_back(name);
   return names;
 }
 
 std::size_t YProvService::document_count() const {
-  const auto locks = lock_all_shared();
-  return document_count_unlocked();
-}
-
-std::size_t YProvService::document_count_unlocked() const {
-  std::size_t n = 0;
-  for (const auto& docs : documents_) n += docs.size();
-  return n;
+  const std::shared_lock lock(mutex_);
+  return documents_.size();
 }
 
 Expected<IngestStats> YProvService::put_documents(
     const std::vector<std::pair<std::string, prov::Document>>& docs) {
-  const auto locks = lock_all_exclusive();
-  // Serial prologue: validate every name and pre-intern the PROV
-  // vocabulary so the parallel phase takes only shared interner locks.
+  // Validation and serialization read only the input, so they run unlocked.
+  std::vector<std::string> bodies;  ///< canonical bytes by input index
+  bodies.reserve(docs.size());
   for (const auto& [name, doc] : docs) {
     if (name.empty() || name.find('/') != std::string::npos) {
       return Error{"invalid document name", name};
     }
-  }
-  preintern_prov_vocabulary(graph_);
-
-  // Group by home shard, keeping input order within each shard.
-  std::vector<std::vector<std::size_t>> by_shard(shard_count());
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    by_shard[shard_for(docs[i].first)].push_back(i);
+    bodies.push_back(prov::to_prov_json_string(doc, /*pretty=*/false));
   }
 
-  // Map: one task per non-empty shard applies its documents in order.
-  // Distinct shards touch disjoint graph tables and document maps, so the
-  // tasks need no locking. Each task records what it applied (for
-  // rollback) and stops its shard at the first failure.
-  struct Applied {
-    std::size_t index;
-    std::optional<std::string> previous;  ///< the replaced document's bytes
-  };
-  struct ShardOutcome {
-    IngestStats stats;
-    std::vector<Applied> applied;
-    std::optional<Error> error;
-  };
-  std::vector<ShardOutcome> outcomes(shard_count());
-  std::vector<std::string> bodies(docs.size());  ///< canonical bytes by input index
-  auto apply_shard = [&](std::size_t s) {
-    ShardOutcome& outcome = outcomes[s];
-    for (const std::size_t i : by_shard[s]) {
-      const auto& [name, doc] = docs[i];
-      std::map<std::string, std::string>& shard_docs = documents_[s];
-      Applied applied{i, std::nullopt};
-      if (const auto it = shard_docs.find(name); it != shard_docs.end()) {
-        applied.previous = std::move(it->second);
-        shard_docs.erase(it);
-        remove_document(graph_, name);
-      }
-      Expected<IngestStats> stats = ingest_document(graph_, doc, name);
-      if (!stats.ok()) {
-        remove_document(graph_, name);
-        if (applied.previous.has_value()) {
-          restore_document(name, std::move(*applied.previous));
-        }
-        outcome.error = stats.error();
-        return;
-      }
-      bodies[i] = prov::to_prov_json_string(doc, /*pretty=*/false);
-      shard_docs[name] = bodies[i];
-      outcome.stats.nodes_added += stats.value().nodes_added;
-      outcome.stats.edges_added += stats.value().edges_added;
-      outcome.stats.elements_merged += stats.value().elements_merged;
-      outcome.applied.push_back(std::move(applied));
-    }
-  };
-  std::vector<std::future<void>> done;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    if (by_shard[s].empty()) continue;
-    if (shard_count() == 1) {
-      apply_shard(s);
-    } else {
-      done.push_back(common::ThreadPool::shared().submit([&apply_shard, s] { apply_shard(s); }));
-    }
-  }
-  for (std::future<void>& f : done) f.get();
-
-  // Undoes one applied document: removes it and restores what it replaced.
-  auto undo = [&](Applied& applied) {
-    const std::string& name = docs[applied.index].first;
+  const std::unique_lock lock(mutex_);
+  // The bytes each applied document replaced, by input index.
+  std::vector<std::optional<std::string>> previous(docs.size());
+  // Undoes document `i`: removes it and restores what it replaced. Undoing
+  // newest first leaves a name the batch repeats at its pre-batch bytes.
+  auto undo = [&](std::size_t i) {
+    const std::string& name = docs[i].first;
     remove_document(graph_, name);
-    documents_[shard_for(name)].erase(name);
-    if (applied.previous.has_value()) {
-      restore_document(name, std::move(*applied.previous));
-    }
+    documents_.erase(name);
+    if (previous[i].has_value()) restore_document(name, std::move(*previous[i]));
   };
 
-  // Reduce: an ingest error anywhere rolls the whole batch back (nothing
-  // was logged yet), keeping batch semantics all-or-nothing. Each shard
-  // undoes newest first, so a name the batch repeats ends at its
-  // pre-batch bytes.
-  for (const ShardOutcome& outcome : outcomes) {
-    if (!outcome.error.has_value()) continue;
-    for (ShardOutcome& o : outcomes) {
-      for (auto it = o.applied.rbegin(); it != o.applied.rend(); ++it) undo(*it);
-    }
-    return *outcome.error;
-  }
-
+  // Apply in input order. An ingest error rolls the whole batch back
+  // (nothing was logged yet), keeping batch semantics all-or-nothing.
   IngestStats total;
-  for (const ShardOutcome& outcome : outcomes) {
-    total.nodes_added += outcome.stats.nodes_added;
-    total.edges_added += outcome.stats.edges_added;
-    total.elements_merged += outcome.stats.elements_merged;
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    const auto& [name, doc] = docs[i];
+    if (const auto it = documents_.find(name); it != documents_.end()) {
+      previous[i] = std::move(it->second);
+      documents_.erase(it);
+      remove_document(graph_, name);
+    }
+    Expected<IngestStats> stats = ingest_document(graph_, doc, name);
+    if (!stats.ok()) {
+      for (std::size_t j = i + 1; j-- > 0;) undo(j);
+      return stats.error();
+    }
+    documents_[name] = bodies[i];
+    total.nodes_added += stats.value().nodes_added;
+    total.edges_added += stats.value().edges_added;
+    total.elements_merged += stats.value().elements_merged;
   }
 
-  // Log serially in input order so recovery replays the same sequence. A
-  // WAL failure keeps the logged prefix applied (memory == log == what
+  // Log in input order so recovery replays the same sequence. A WAL
+  // failure keeps the logged prefix applied (memory == log == what
   // recovery reproduces) and rolls back the unlogged suffix.
   if (wal_ != nullptr) {
-    std::vector<Applied*> in_input_order;
-    for (ShardOutcome& outcome : outcomes) {
-      for (Applied& applied : outcome.applied) in_input_order.push_back(&applied);
-    }
-    std::sort(in_input_order.begin(), in_input_order.end(),
-              [](const Applied* a, const Applied* b) { return a->index < b->index; });
-    for (std::size_t k = 0; k < in_input_order.size(); ++k) {
-      const std::size_t i = in_input_order[k]->index;
+    for (std::size_t k = 0; k < docs.size(); ++k) {
       Expected<wal::Lsn> lsn = wal_->append(
-          {wal::Record::Type::kPutDocument, docs[i].first, std::move(bodies[i])});
+          {wal::Record::Type::kPutDocument, docs[k].first, std::move(bodies[k])});
       if (!lsn.ok()) {
-        for (std::size_t j = in_input_order.size(); j-- > k;) {
-          undo(*in_input_order[j]);
-        }
+        for (std::size_t j = docs.size(); j-- > k;) undo(j);
         if (k > 0) bump_version();  // the logged prefix stays applied
         return wal_error(lsn.error());
       }
@@ -441,40 +304,24 @@ Expected<IngestStats> YProvService::put_documents(
   return total;
 }
 
-std::vector<ShardStats> YProvService::shard_stats() const {
-  const auto locks = lock_all_shared();
-  std::vector<ShardStats> stats(shard_count());
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    stats[s].nodes = graph_.node_count_in_shard(s);
-    stats[s].edges = graph_.edge_count_in_shard(s);
-    stats[s].documents = documents_[s].size();
-    stats[s].writer_acquisitions =
-        stripes_[s]->writer_acquisitions.load(std::memory_order_relaxed);
-  }
-  return stats;
-}
-
 Response YProvService::handle(const Request& request) {
-  // PUT/DELETE on a document route mutate only that document's home shard:
-  // lock its stripe exclusively and nothing else. Everything other than
-  // that — reads, and write methods on routes that can only 4xx — takes
-  // every stripe shared, in ascending (canonical) order.
+  // PUT/DELETE on a document route mutate: they take the lock exclusively.
+  // Everything else — reads, and write methods on routes that can only
+  // 4xx — takes it shared.
   if (request.method == "PUT" || request.method == "DELETE") {
     if (const std::optional<std::string> name = write_target(request.path)) {
       if (request.method == "PUT") return put_route(*name, request.body);
-      Stripe& stripe = *stripes_[shard_for(*name)];
-      const std::unique_lock lock(stripe.mutex);
-      stripe.writer_acquisitions.fetch_add(1, std::memory_order_relaxed);
+      const std::unique_lock lock(mutex_);
       return route(request);
     }
   }
-  const auto locks = lock_all_shared();
+  const std::shared_lock lock(mutex_);
   return route(request);
 }
 
 Response YProvService::put_route(const std::string& name, const std::string& body) {
   // Parsing and validation read only the request, so they run before
-  // put_document() serializes (also unlocked) and takes the stripe.
+  // put_document() serializes (also unlocked) and takes the lock.
   Expected<prov::Document> doc = parse_prov_json(body);
   if (!doc.ok()) return error_response(400, doc.error().to_string());
   Status s = put_document(name, doc.value());
@@ -548,13 +395,8 @@ Response YProvService::route(const Request& request) {
   // GET /api/v0/documents — list.
   if (rest.empty()) {
     if (request.method != "GET") return method_not_allowed("GET");
-    std::vector<std::string> sorted;
-    for (const auto& docs : documents_) {
-      for (const auto& [name, doc] : docs) sorted.push_back(name);
-    }
-    std::sort(sorted.begin(), sorted.end());
     json::Array names;
-    for (std::string& name : sorted) names.emplace_back(std::move(name));
+    for (const auto& [name, doc] : documents_) names.emplace_back(name);
     json::Object body;
     body.set("documents", std::move(names));
     return Response{200, json::write(json::Value(std::move(body))), ""};
@@ -566,9 +408,8 @@ Response YProvService::route(const Request& request) {
   // A PUT here never reaches route(): handle() sends it to put_route().
   if (parts.size() == 1) {
     if (request.method == "GET") {
-      const std::map<std::string, std::string>& docs = documents_[shard_for(name)];
-      const auto it = docs.find(name);
-      if (it == docs.end()) return error_response(404, "document not found");
+      const auto it = documents_.find(name);
+      if (it == documents_.end()) return error_response(404, "document not found");
       return Response{200, it->second, ""};
     }
     if (request.method == "DELETE") {
@@ -581,7 +422,7 @@ Response YProvService::route(const Request& request) {
   }
 
   if (request.method != "GET") return method_not_allowed("GET");
-  if (documents_[shard_for(name)].count(name) == 0) {
+  if (documents_.count(name) == 0) {
     return error_response(404, "document not found");
   }
 
@@ -713,8 +554,8 @@ Response YProvService::query_paged(const std::string& body) {
   std::string page = page_body(cursor.value(), columns, page_size, token);
   if (!cursor.value().done()) {
     // More rows remain: register the cursor under its token. The caller
-    // holds every stripe shared, so the version we pin cannot move before
-    // the response leaves route().
+    // holds the lock shared, so the version we pin cannot move before the
+    // response leaves route().
     const auto now = std::chrono::steady_clock::now();
     const std::lock_guard<std::mutex> guard(cursor_mutex_);
     reap_cursors_locked(now);
@@ -743,9 +584,9 @@ Response YProvService::query_next(const std::string& body) {
   const std::string& token = token_value->as_string();
 
   // Check the cursor out of the registry. The page itself runs under the
-  // shared stripe locks route() already holds, so the graph (and its
-  // version) are stable while next() walks it — the registry mutex only
-  // guards the map, never spans the walk of another cursor.
+  // shared lock route() already holds, so the graph (and its version) are
+  // stable while next() walks it — the registry mutex only guards the map,
+  // never spans the walk of another cursor.
   std::optional<OpenCursor> open;
   {
     const auto now = std::chrono::steady_clock::now();
@@ -781,23 +622,19 @@ Response YProvService::query_next(const std::string& body) {
 // --------------------------------------------------------------- durability
 
 Status YProvService::attach_wal(const std::string& dir, wal::Options options) {
-  const auto locks = lock_all_exclusive();
+  const std::unique_lock lock(mutex_);
   if (wal_ != nullptr) return Error{"a WAL is already attached", wal_->dir()};
-  if (document_count_unlocked() != 0) {
+  if (!documents_.empty()) {
     return Error{"attach_wal requires an empty service (it hydrates from the store)",
                  dir};
   }
   Expected<std::unique_ptr<wal::DurableStore>> store = wal::DurableStore::open(dir, options);
   if (!store.ok()) return store.error();
-  // Move the recovered bytes out of the store: the document maps keep the
+  // Move the recovered bytes out of the store: the document map keeps the
   // only copy.
-  std::map<std::string, std::string>& recovered = store.value()->recovered().documents;
-  while (!recovered.empty()) {
-    auto entry = recovered.extract(recovered.begin());
-    documents_[shard_for(entry.key())].insert(std::move(entry));
-  }
+  documents_ = std::move(store.value()->recovered().documents);
   if (Status rebuilt = rebuild_graph(); !rebuilt.ok()) {
-    for (auto& docs : documents_) docs.clear();
+    documents_.clear();
     return rebuilt;
   }
   wal_ = std::move(store.value());
@@ -806,79 +643,39 @@ Status YProvService::attach_wal(const std::string& dir, wal::Options options) {
 }
 
 wal::Stats YProvService::wal_stats() const {
-  const auto locks = lock_all_shared();
+  const std::shared_lock lock(mutex_);
   return wal_ != nullptr ? wal_->stats() : wal::Stats{};
 }
 
 Status YProvService::wal_compact() {
   // compact() coordinates with appenders through the store's own locks;
-  // taking the service locks here would only serialize it against reads.
-  const auto locks = lock_all_shared();
+  // taking the lock exclusively here would only serialize it against reads.
+  const std::shared_lock lock(mutex_);
   if (wal_ == nullptr) return Status::ok_status();
   return wal_->compact();
 }
 
-namespace {
-
-/// Merges the per-shard document maps into one name-ordered map.
-std::map<std::string, std::string> merge_documents(
-    const std::vector<std::map<std::string, std::string>>& documents) {
-  std::map<std::string, std::string> bodies;
-  for (const auto& shard_docs : documents) bodies.insert(shard_docs.begin(), shard_docs.end());
-  return bodies;
-}
-
-}  // namespace
-
 Status YProvService::save(const std::string& dir) const {
-  const auto locks = lock_all_shared();
+  const std::shared_lock lock(mutex_);
   if (wal_ != nullptr &&
       fs::weakly_canonical(wal_->dir()) == fs::weakly_canonical(dir)) {
     // The WAL already holds every acknowledged mutation; saving into the
     // same store just means folding the tail into a snapshot.
     return wal_->compact();
   }
-  return wal::replace_store(dir, merge_documents(documents_));
+  return wal::replace_store(dir, documents_);
 }
 
 Expected<YProvService> YProvService::load(const std::string& dir) {
-  if (wal::store_exists(dir)) {
-    Expected<wal::RecoveredState> recovered = wal::recover(dir);
-    if (!recovered.ok()) return recovered.error();
-    YProvService service;
-    for (auto& [name, body] : recovered.value().documents) {
-      Expected<json::Value> parsed = json::parse(body);
-      if (!parsed.ok()) return Error{"stored document does not parse", name};
-      Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
-      if (!doc.ok()) return doc.error();
-      // The service is not shared yet, so no stripe needs taking.
-      Status s = service.put_document_impl(name, doc.value(), std::move(body));
-      if (!s.ok()) return s.error();
-    }
-    return service;
-  }
-  // Legacy layout (pre-WAL stores): index.json + one PROV-JSON file per
-  // document. Read-only compatibility; the first save() upgrades the dir.
-  Expected<json::Value> index = json::parse_file((fs::path(dir) / "index.json").string());
-  if (!index.ok()) return index.error();
-  const json::Value* docs = index.value().find("documents");
-  if (docs == nullptr || !docs->is_array()) return Error{"malformed index", dir};
+  if (!wal::store_exists(dir)) return Error{"no store found", dir};
+  Expected<wal::RecoveredState> recovered = wal::recover(dir);
+  if (!recovered.ok()) return recovered.error();
+  // The service is not shared yet, so no lock needs taking.
   YProvService service;
-  for (const json::Value& entry : docs->as_array()) {
-    const json::Value* name = entry.find("name");
-    const json::Value* file = entry.find("file");
-    if (name == nullptr || file == nullptr) return Error{"malformed index entry", dir};
-    Expected<prov::Document> doc =
-        prov::read_prov_json_file((fs::path(dir) / file->as_string()).string());
-    if (!doc.ok()) return doc.error();
-    Status s = service.put_document(name->as_string(), doc.value());
-    if (!s.ok()) return s.error();
-  }
+  service.documents_ = std::move(recovered.value().documents);
+  if (Status rebuilt = service.rebuild_graph(); !rebuilt.ok()) return rebuilt.error();
+  service.bump_version();
   return service;
-}
-
-bool YProvService::store_exists(const std::string& dir) {
-  return wal::store_exists(dir) || fs::exists(fs::path(dir) / "index.json");
 }
 
 }  // namespace provml::graphstore

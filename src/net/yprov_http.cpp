@@ -153,20 +153,6 @@ HttpResponse YProvHttpApp::health_response(const HttpRequest& request) {
     body.set("connections_shed", s.connections_shed);
     body.set("writev_batches", s.writev_batches);
   }
-  // Sharding: per-stripe balance and write contention, in shard order.
-  body.set("shard_count", service_.shard_count());
-  {
-    json::Array shards;
-    for (const graphstore::ShardStats& s : service_.shard_stats()) {
-      json::Object shard;
-      shard.set("nodes", s.nodes);
-      shard.set("edges", s.edges);
-      shard.set("documents", s.documents);
-      shard.set("writer_acquisitions", s.writer_acquisitions);
-      shards.push_back(json::Value(std::move(shard)));
-    }
-    body.set("shards", json::Value(std::move(shards)));
-  }
   // Durability: present (nested) only when a WAL is attached.
   body.set("wal_enabled", service_.wal_attached());
   if (service_.wal_attached()) {

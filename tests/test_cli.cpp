@@ -319,6 +319,23 @@ TEST_F(CliTest, ArgumentErrors) {
   EXPECT_EQ(std::get<0>(run({"convert", "x"})), 1);          // missing --to
   EXPECT_EQ(std::get<0>(run({"ingest", "store", "no_equals"})), 1);
   EXPECT_EQ(std::get<0>(run({"list", "/nonexistent/store"})), 1);
+
+  // Malformed or out-of-range numeric options on otherwise valid inputs.
+  const std::string doc = write_run_doc("args", 0.1);
+  const std::string store = (dir_ / "args_store").string();
+  ASSERT_EQ(std::get<0>(run({"ingest", store, "args=" + doc})), 0);
+  for (const std::vector<std::string>& args : std::vector<std::vector<std::string>>{
+           {"lineage", doc, "ex:artifact/ckpt", "--depth", "abc"},
+           {"lineage", doc, "ex:artifact/ckpt", "--depth", "-1"},
+           {"subgraph", doc, "ex:artifact/ckpt", "--hops", "xyz"},
+           {"subgraph", doc, "ex:artifact/ckpt", "--hops", "-1"},
+           {"predict", store, "final_loss", "--k", "abc"},
+           {"predict", store, "final_loss", "--k", "-1"},
+       }) {
+    auto [code, out, err] = run(args);
+    EXPECT_EQ(code, 1) << args[0] << " " << args[3] << " " << args[4];
+    EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
+  }
 }
 
 }  // namespace

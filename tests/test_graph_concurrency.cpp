@@ -11,10 +11,8 @@
 //    -DPROVML_SANITIZE=thread this is the data-race oracle for the
 //    shared_mutex + version-counter + LRU-cache design.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -345,134 +343,98 @@ TEST(HttpAppCache, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(counters.cache_misses, 0u);
 }
 
-// ---------------------------------------------------- sharded service
+// ------------------------------------------------- many writers, one lock
 
-/// Shard counts the striped-locking suites run under. CI overrides via
-/// PROVML_TEST_SHARDS (e.g. the TSan job re-runs `ctest -L graph` with
-/// PROVML_TEST_SHARDS=4); by default both the degenerate single-stripe
-/// case and a multi-shard layout are covered.
-std::vector<std::size_t> shard_counts_under_test() {
-  if (const char* env = std::getenv("PROVML_TEST_SHARDS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1 && v <= 256) return {static_cast<std::size_t>(v)};
+TEST(ServiceConcurrency, ParallelWritersAndReadersStayCoherent) {
+  YProvService service;
+
+  std::vector<std::string> names;
+  for (int i = 0; i < 8; ++i) names.push_back("doc" + std::to_string(i));
+  Rng seed_rng(51);
+  for (const std::string& name : names) {
+    ASSERT_EQ(service.handle({"PUT", "/api/v0/documents/" + name, put_body(seed_rng)})
+                  .status,
+              201);
   }
-  return {1, 4};
-}
 
-TEST(ShardedServiceConcurrency, ParallelWritersAcrossShardsStayCoherent) {
-  for (const std::size_t shards : shard_counts_under_test()) {
-    YProvService service(shards);
-    SCOPED_TRACE("shards=" + std::to_string(service.shard_count()));
+  constexpr int kOpsPerWriter = 30;
+  constexpr int kReadsPerReader = 250;
+  std::atomic<int> failures{0};
 
-    // 8 document names: hashed placement spreads them over the stripes, so
-    // writers on disjoint name sets mostly hit *distinct* shards while the
-    // two overlap writers contend on the *same* stripes.
-    std::vector<std::string> names;
-    for (int i = 0; i < 8; ++i) names.push_back("doc" + std::to_string(i));
-    Rng seed_rng(51);
-    for (const std::string& name : names) {
-      ASSERT_EQ(service.handle({"PUT", "/api/v0/documents/" + name,
-                                put_body(seed_rng)})
-                    .status,
-                201);
-    }
-
-    constexpr int kOpsPerWriter = 30;
-    constexpr int kReadsPerReader = 250;
-    std::atomic<int> failures{0};
-
-    // Writers 0/1 own disjoint halves of the namespace; writers 2/3 both
-    // roam the full set (overlapping shards, contended stripes).
-    const auto writer = [&service, &names, &failures](int id, std::size_t lo,
-                                                      std::size_t hi) {
-      Rng rng(300 + static_cast<std::uint64_t>(id));
-      for (int op = 0; op < kOpsPerWriter; ++op) {
-        const std::string& name =
-            names[lo + static_cast<std::size_t>(rng.below(
-                           static_cast<std::uint32_t>(hi - lo)))];
-        if (rng.chance(0.3)) {
-          const Response r =
-              service.handle({"DELETE", "/api/v0/documents/" + name, ""});
-          if (r.status != 200 && r.status != 404) failures.fetch_add(1);
-        } else {
-          Rng body_rng(rng.next());
-          const Response r = service.handle(
-              {"PUT", "/api/v0/documents/" + name, put_body(body_rng)});
-          if (r.status != 201) failures.fetch_add(1);
-        }
+  // Writers 0/1 own disjoint halves of the namespace; writers 2/3 both
+  // roam the full set, so they also race on the same documents.
+  const auto writer = [&service, &names, &failures](int id, std::size_t lo,
+                                                    std::size_t hi) {
+    Rng rng(300 + static_cast<std::uint64_t>(id));
+    for (int op = 0; op < kOpsPerWriter; ++op) {
+      const std::string& name =
+          names[lo + static_cast<std::size_t>(
+                         rng.below(static_cast<std::uint32_t>(hi - lo)))];
+      if (rng.chance(0.3)) {
+        const Response r = service.handle({"DELETE", "/api/v0/documents/" + name, ""});
+        if (r.status != 200 && r.status != 404) failures.fetch_add(1);
+      } else {
+        Rng body_rng(rng.next());
+        const Response r =
+            service.handle({"PUT", "/api/v0/documents/" + name, put_body(body_rng)});
+        if (r.status != 201) failures.fetch_add(1);
       }
-    };
+    }
+  };
 
-    std::vector<std::thread> threads;
-    threads.emplace_back(writer, 0, 0, 4);  // distinct shard set A
-    threads.emplace_back(writer, 1, 4, 8);  // distinct shard set B
-    threads.emplace_back(writer, 2, 0, 8);  // overlaps both
-    threads.emplace_back(writer, 3, 0, 8);  // overlaps both
-    for (int t = 0; t < 2; ++t) {
-      threads.emplace_back([&service, &names, &failures, t] {
-        Rng rng(400 + static_cast<std::uint64_t>(t));
-        for (int i = 0; i < kReadsPerReader; ++i) {
-          Request req;
-          switch (rng.below(4)) {
-            case 0: req = {"GET", "/api/v0/documents", ""}; break;
-            case 1:
-              req = {"GET", "/api/v0/documents/" + names[rng.below(8)], ""};
-              break;
-            case 2:
-              req = {"GET", "/api/v0/documents/" + names[rng.below(8)] + "/stats",
-                     ""};
-              break;
-            default:
-              req = {"POST", "/api/v0/query", "MATCH (e:Entity) RETURN count(e)"};
-              break;
-          }
-          const Response r = service.handle(req);
-          if (r.status != 200 && r.status != 404) failures.fetch_add(1);
-          if (i % 16 == 0) std::this_thread::yield();
+  std::vector<std::thread> threads;
+  threads.emplace_back(writer, 0, 0, 4);  // disjoint name set A
+  threads.emplace_back(writer, 1, 4, 8);  // disjoint name set B
+  threads.emplace_back(writer, 2, 0, 8);  // overlaps both
+  threads.emplace_back(writer, 3, 0, 8);  // overlaps both
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&service, &names, &failures, t] {
+      Rng rng(400 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        Request req;
+        switch (rng.below(4)) {
+          case 0: req = {"GET", "/api/v0/documents", ""}; break;
+          case 1:
+            req = {"GET", "/api/v0/documents/" + names[rng.below(8)], ""};
+            break;
+          case 2:
+            req = {"GET", "/api/v0/documents/" + names[rng.below(8)] + "/stats", ""};
+            break;
+          default:
+            req = {"POST", "/api/v0/query", "MATCH (e:Entity) RETURN count(e)"};
+            break;
         }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    EXPECT_EQ(failures.load(), 0);
-
-    // Quiescent coherence: every stored document's subgraph is intact and
-    // the per-shard stats sum to the whole.
-    std::size_t shard_docs = 0;
-    std::size_t shard_nodes = 0;
-    std::uint64_t writer_acquisitions = 0;
-    for (const ShardStats& s : service.shard_stats()) {
-      shard_docs += s.documents;
-      shard_nodes += s.nodes;
-      writer_acquisitions += s.writer_acquisitions;
-    }
-    EXPECT_EQ(shard_docs, service.document_count());
-    EXPECT_EQ(shard_nodes, service.graph().node_count());
-    // 8 seed PUTs + 4 writers × 30 ops, each an exclusive stripe acquisition.
-    EXPECT_EQ(writer_acquisitions, 8u + 4u * kOpsPerWriter);
-    for (const std::string& name : service.list_documents()) {
-      const Response stats =
-          service.handle({"GET", "/api/v0/documents/" + name + "/stats", ""});
-      EXPECT_EQ(stats.status, 200);
-    }
+        const Response r = service.handle(req);
+        if (r.status != 200 && r.status != 404) failures.fetch_add(1);
+        if (i % 16 == 0) std::this_thread::yield();
+      }
+    });
   }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Quiescent coherence: every stored document's subgraph is intact and
+  // the documents' node counts sum to the whole graph (no orphans left by
+  // a replace or delete).
+  std::int64_t document_nodes = 0;
+  for (const std::string& name : service.list_documents()) {
+    const Response stats =
+        service.handle({"GET", "/api/v0/documents/" + name + "/stats", ""});
+    ASSERT_EQ(stats.status, 200);
+    const auto parsed = json::parse(stats.body);
+    ASSERT_TRUE(parsed.ok());
+    document_nodes += parsed.value().find("nodes")->as_int();
+  }
+  EXPECT_EQ(static_cast<std::size_t>(document_nodes), service.graph().node_count());
 }
 
-// Canonical comparison key for a query response: row order follows node
-// ids, which differ across shard layouts, so compare rows as a multiset.
-std::vector<std::string> sorted_rows(const Response& response) {
-  EXPECT_EQ(response.status, 200);
-  const auto parsed = json::parse(response.body);
-  EXPECT_TRUE(parsed.ok());
-  std::vector<std::string> rows;
-  if (parsed.ok()) {
-    for (const json::Value& row : *parsed.value().as_object().find("rows")->get_array()) {
-      rows.push_back(json::write(row));
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
+// --------------------------------------------- bulk == sequential, bytewise
 
+// The suite keeps its name from the striped store it was written for. The
+// store is one graph now and the constructor's shard count is ignored, so
+// a service asked for 4 shards that bulk-ingests must answer every route
+// byte for byte like one asked for 1 that takes the documents one PUT at
+// a time.
 TEST(ShardedDeterminism, ShardedIngestMatchesSingleShardAcrossSeeds) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -486,58 +448,31 @@ TEST(ShardedDeterminism, ShardedIngestMatchesSingleShardAcrossSeeds) {
                         testkit::gen_prov_document(rng, opts));
     }
 
-    // Reference build: one shard, documents applied one at a time.
-    YProvService single(1);
+    // Reference build: documents applied one at a time.
+    YProvService sequential(1);
     for (const auto& [name, doc] : docs) {
-      ASSERT_TRUE(single.put_document(name, doc).ok());
+      ASSERT_TRUE(sequential.put_document(name, doc).ok());
     }
-    // Candidate build: four shards, bulk-parallel ingest.
-    YProvService sharded(4);
-    const auto bulk = sharded.put_documents(docs);
-    ASSERT_TRUE(bulk.ok()) << bulk.error().to_string();
+    // Candidate build: one bulk ingest.
+    YProvService bulk(4);
+    const auto stats = bulk.put_documents(docs);
+    ASSERT_TRUE(stats.ok()) << stats.error().to_string();
 
-    EXPECT_EQ(sharded.document_count(), single.document_count());
-    EXPECT_EQ(sharded.list_documents(), single.list_documents());
-    EXPECT_EQ(sharded.graph().node_count(), single.graph().node_count());
-    EXPECT_EQ(sharded.graph().edge_count(), single.graph().edge_count());
+    EXPECT_EQ(bulk.graph().node_count(), sequential.graph().node_count());
+    EXPECT_EQ(bulk.graph().edge_count(), sequential.graph().edge_count());
 
-    // Per-document: the element route renders everything through prov ids
-    // (never raw node ids) in declaration order, so the responses must be
-    // byte-identical regardless of shard layout.
+    // Both builds ingest the same documents in the same order, so node ids
+    // match and every route answers byte for byte.
+    std::vector<Request> requests{{"GET", "/api/v0/documents", ""}};
     for (const auto& [name, doc] : docs) {
-      const Request stats{"GET", "/api/v0/documents/" + name + "/stats", ""};
-      EXPECT_EQ(sharded.handle(stats).body, single.handle(stats).body);
+      const std::string path = "/api/v0/documents/" + name;
+      requests.push_back({"GET", path, ""});
+      requests.push_back({"GET", path + "/stats", ""});
       for (const prov::Element& e : doc.elements()) {
-        const Request element{
-            "GET", "/api/v0/documents/" + name + "/elements/" + e.id, ""};
-        EXPECT_EQ(sharded.handle(element).body, single.handle(element).body)
-            << name << " / " << e.id;
-        // Lineage neighbourhood: same prov-id set (BFS order follows node
-        // ids, so compare order-insensitively).
-        const Request subgraph{
-            "GET", "/api/v0/documents/" + name + "/subgraph/" + e.id, ""};
-        Response a = sharded.handle(subgraph);
-        Response b = single.handle(subgraph);
-        ASSERT_EQ(a.status, b.status);
-        if (a.status != 200) continue;
-        const auto pa = json::parse(a.body);
-        const auto pb = json::parse(b.body);
-        ASSERT_TRUE(pa.ok() && pb.ok());
-        std::vector<std::string> na;
-        std::vector<std::string> nb;
-        for (const json::Value& v : *pa.value().as_object().find("nodes")->get_array()) {
-          na.push_back(json::write(v));
-        }
-        for (const json::Value& v : *pb.value().as_object().find("nodes")->get_array()) {
-          nb.push_back(json::write(v));
-        }
-        std::sort(na.begin(), na.end());
-        std::sort(nb.begin(), nb.end());
-        EXPECT_EQ(na, nb) << name << " / " << e.id;
+        requests.push_back({"GET", path + "/elements/" + e.id, ""});
+        requests.push_back({"GET", path + "/subgraph/" + e.id, ""});
       }
     }
-
-    // Query engine: aggregates and prov-id projections agree row-for-row.
     for (const char* text : {
              "MATCH (e:Entity) RETURN count(e)",
              "MATCH (a:Activity) RETURN count(a)",
@@ -545,9 +480,13 @@ TEST(ShardedDeterminism, ShardedIngestMatchesSingleShardAcrossSeeds) {
              "MATCH (e:Entity) RETURN e",
              "MATCH (a:Prov)-[]->(b:Prov) RETURN a, b",
          }) {
-      EXPECT_EQ(sorted_rows(sharded.handle({"POST", "/api/v0/query", text})),
-                sorted_rows(single.handle({"POST", "/api/v0/query", text})))
-          << text;
+      requests.push_back({"POST", "/api/v0/query", text});
+    }
+    for (const Request& request : requests) {
+      const Response a = bulk.handle(request);
+      const Response b = sequential.handle(request);
+      EXPECT_EQ(a.status, b.status) << request.method << " " << request.path;
+      EXPECT_EQ(a.body, b.body) << request.method << " " << request.path << " " << request.body;
     }
   }
 }
@@ -561,18 +500,18 @@ TEST(ShardedDeterminism, BulkIngestMatchesSequentialPutsOnSameShardCount) {
   for (int i = 0; i < 6; ++i) {
     docs.emplace_back("bulk" + std::to_string(i), testkit::gen_prov_document(rng, opts));
   }
-  YProvService sequential(4);
+  YProvService sequential;
   for (const auto& [name, doc] : docs) {
     ASSERT_TRUE(sequential.put_document(name, doc).ok());
   }
-  YProvService bulk(4);
+  YProvService bulk;
   ASSERT_TRUE(bulk.put_documents(docs).ok());
 
   EXPECT_EQ(bulk.list_documents(), sequential.list_documents());
   EXPECT_EQ(bulk.graph().node_count(), sequential.graph().node_count());
   EXPECT_EQ(bulk.graph().edge_count(), sequential.graph().edge_count());
-  // Same shard layout and same per-shard document order → identical ids,
-  // so even raw element responses match byte-for-byte.
+  // Same document order → identical node ids, so even raw element
+  // responses match byte for byte.
   for (const auto& [name, doc] : docs) {
     for (const prov::Element& e : doc.elements()) {
       const Request element{"GET", "/api/v0/documents/" + name + "/elements/" + e.id, ""};

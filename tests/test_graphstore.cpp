@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 
 #include "provml/graphstore/graph.hpp"
@@ -124,13 +123,13 @@ TEST(Graph, PostingsStayAscendingAfterReindexAndRemoval) {
   const NodeId c = g.add_node({"N"}, json::make_object({{"k", 1}}));
   const json::Value one(1);
   g.set_property(a, "k", json::Value(2));
-  EXPECT_EQ(g.find_in_shard(0, "N", "k", one), (std::vector<NodeId>{b, c}));
+  EXPECT_EQ(g.find("N", "k", one), (std::vector<NodeId>{b, c}));
   // Re-indexing the oldest node puts it back in front, not at the end.
   g.set_property(a, "k", one);
-  EXPECT_EQ(g.find_in_shard(0, "N", "k", one), (std::vector<NodeId>{a, b, c}));
+  EXPECT_EQ(g.find("N", "k", one), (std::vector<NodeId>{a, b, c}));
   EXPECT_EQ(g.find_one("N", "k", one).value_or(0), a);
   ASSERT_TRUE(g.remove_node(b).ok());
-  EXPECT_EQ(g.find_in_shard(0, "N", "k", one), (std::vector<NodeId>{a, c}));
+  EXPECT_EQ(g.find("N", "k", one), (std::vector<NodeId>{a, c}));
   EXPECT_EQ(g.nodes_with_label("N"), (std::vector<NodeId>{a, c}));
   EXPECT_EQ(g.count_with_property("N", "k", one), 2u);
   ASSERT_TRUE(g.remove_node(a).ok());
@@ -487,102 +486,18 @@ TEST(Service, LoadMissingDirectoryFails) {
   EXPECT_FALSE(YProvService::load("/nonexistent/provml_service").ok());
 }
 
-// -------------------------------------------------------------- sharding
+// ------------------------------------------------------ ids and bulk ingest
 
-TEST(ShardedGraph, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(PropertyGraph(0).shard_count(), 1u);
-  EXPECT_EQ(PropertyGraph(1).shard_count(), 1u);
-  EXPECT_EQ(PropertyGraph(3).shard_count(), 4u);
-  EXPECT_EQ(PropertyGraph(4).shard_count(), 4u);
-  EXPECT_EQ(PropertyGraph(5).shard_count(), 8u);
-}
-
-TEST(ShardedGraph, SingleShardIdsMatchLegacyDenseSequence) {
-  PropertyGraph g(1);
-  // With one shard the id encoding degenerates to the pre-sharding dense
-  // sequence 1, 2, 3, … — on-disk ids and test fixtures stay valid.
+TEST(Graph, IdsAreADenseSequence) {
+  PropertyGraph g;
   EXPECT_EQ(g.add_node({"A"}), 1u);
   EXPECT_EQ(g.add_node({"A"}), 2u);
   EXPECT_EQ(g.add_node({"B"}), 3u);
-  EXPECT_EQ(g.shard_of(3), 0u);
+  EXPECT_EQ(g.node_ids(), (std::vector<NodeId>{1, 2, 3}));
 }
 
-TEST(ShardedGraph, NodeIdsEncodeTheirShard) {
-  PropertyGraph g(4);
-  for (std::size_t shard = 0; shard < g.shard_count(); ++shard) {
-    const NodeId a = g.add_node({"N"}, {}, shard);
-    const NodeId b = g.add_node({"N"}, {}, shard);
-    EXPECT_EQ(g.shard_of(a), shard);
-    EXPECT_EQ(g.shard_of(b), shard);
-    EXPECT_NE(a, b);
-    EXPECT_EQ(g.node_count_in_shard(shard), 2u);
-  }
-  EXPECT_EQ(g.node_count(), 8u);
-}
-
-TEST(ShardedGraph, CrossShardEdgesTraverseBothDirections) {
-  PropertyGraph g(4);
-  const NodeId a = g.add_node({"Entity"}, {}, 0);
-  const NodeId b = g.add_node({"Entity"}, {}, 3);
-  const auto e = g.add_edge(a, b, "used");
-  ASSERT_TRUE(e.ok());
-  EXPECT_EQ(g.neighbors(a, Direction::kOut), (std::vector<NodeId>{b}));
-  EXPECT_EQ(g.neighbors(b, Direction::kIn), (std::vector<NodeId>{a}));
-  EXPECT_EQ(g.edge_count(), 1u);
-  // Removing the far endpoint unlinks the edge in the near shard too.
-  EXPECT_TRUE(g.remove_node(b));
-  EXPECT_EQ(g.edge_count(), 0u);
-  EXPECT_TRUE(g.neighbors(a, Direction::kOut).empty());
-}
-
-TEST(ShardedGraph, GlobalReadsAggregateAcrossShardsInSortedOrder) {
-  PropertyGraph g(4);
-  std::vector<NodeId> entities;
-  for (std::size_t shard = 0; shard < 4; ++shard) {
-    json::Object props;
-    props.set("k", json::Value(std::string("v")));
-    entities.push_back(g.add_node({"Entity"}, std::move(props), shard));
-    g.add_node({"Other"}, {}, shard);
-  }
-  EXPECT_EQ(g.count_with_label("Entity"), 4u);
-  const std::vector<NodeId> by_label = g.nodes_with_label("Entity");
-  const std::vector<NodeId> by_prop = g.find("Entity", "k", json::Value(std::string("v")));
-  std::vector<NodeId> sorted_entities = entities;
-  std::sort(sorted_entities.begin(), sorted_entities.end());
-  EXPECT_EQ(by_label, sorted_entities);
-  EXPECT_EQ(by_prop, sorted_entities);
-  const std::vector<NodeId> all_ids = g.node_ids();
-  EXPECT_TRUE(std::is_sorted(all_ids.begin(), all_ids.end()));
-  const auto one = g.find_one("Entity", "k", json::Value(std::string("v")));
-  ASSERT_TRUE(one.has_value());
-  EXPECT_EQ(*one, sorted_entities.front());
-}
-
-TEST(ShardedGraph, ScopePlacementIsStableAndInRange) {
-  PropertyGraph g(8);
-  for (const char* name : {"run-1", "run-2", "experiment/alpha", "x"}) {
-    const std::size_t shard = g.shard_for_scope(name);
-    EXPECT_LT(shard, g.shard_count());
-    EXPECT_EQ(shard, g.shard_for_scope(name));  // deterministic
-  }
-  // One shard: everything maps to 0.
-  PropertyGraph single(1);
-  EXPECT_EQ(single.shard_for_scope("anything"), 0u);
-}
-
-TEST(ShardedIngest, DocumentSubgraphLivesInItsHomeShard) {
-  PropertyGraph g(4);
-  const std::string name = "homed";
-  const std::size_t home = g.shard_for_scope(name);
-  ASSERT_TRUE(ingest_document(g, training_doc(), name).ok());
-  EXPECT_EQ(g.node_count_in_shard(home), g.node_count());
-  for (const NodeId id : g.node_ids()) EXPECT_EQ(g.shard_of(id), home);
-  // find_prov_node resolves through the home shard's index.
-  EXPECT_TRUE(find_prov_node(g, name, "ex:train").has_value());
-}
-
-TEST(ShardedIngest, RemoveDocumentOnlyTouchesItsOwnSubgraph) {
-  PropertyGraph g(4);
+TEST(Ingest, RemoveDocumentOnlyTouchesItsOwnSubgraph) {
+  PropertyGraph g;
   ASSERT_TRUE(ingest_document(g, training_doc(), "keep").ok());
   ASSERT_TRUE(ingest_document(g, training_doc(), "drop").ok());
   const std::size_t keep_nodes = g.node_count() / 2;
@@ -594,29 +509,10 @@ TEST(ShardedIngest, RemoveDocumentOnlyTouchesItsOwnSubgraph) {
   EXPECT_EQ(remove_document(g, "missing"), 0u);
 }
 
-TEST(ShardedService, StatsPartitionTheGraphAndCountWriters) {
-  YProvService service(4);
-  EXPECT_EQ(service.shard_count(), 4u);
-  ASSERT_TRUE(service.put_document("a", training_doc()).ok());
-  ASSERT_TRUE(service.put_document("b", training_doc()).ok());
-  ASSERT_TRUE(service.delete_document("b"));
-  std::size_t docs = 0;
-  std::size_t nodes = 0;
-  std::uint64_t writers = 0;
-  for (const ShardStats& s : service.shard_stats()) {
-    docs += s.documents;
-    nodes += s.nodes;
-    writers += s.writer_acquisitions;
-  }
-  EXPECT_EQ(docs, 1u);
-  EXPECT_EQ(nodes, service.graph().node_count());
-  EXPECT_EQ(writers, 3u);  // two puts + one delete, each one stripe
-}
-
-TEST(ShardedService, BulkIngestRollsBackAtomicallyOnBadDocument) {
+TEST(Service, BulkIngestRollsBackAtomicallyOnBadDocument) {
   const prov::Document dangling = dangling_doc();
 
-  YProvService service(4);
+  YProvService service;
   ASSERT_TRUE(service.put_document("pre", training_doc()).ok());
   const std::size_t nodes_before = service.graph().node_count();
 
@@ -632,7 +528,7 @@ TEST(ShardedService, BulkIngestRollsBackAtomicallyOnBadDocument) {
   EXPECT_EQ(service.graph().node_count(), nodes_before);
 }
 
-TEST(ShardedService, BulkRollbackRestoresARepeatedNameToItsPreBatchBytes) {
+TEST(Service, BulkRollbackRestoresARepeatedNameToItsPreBatchBytes) {
   YProvService service;
   ASSERT_TRUE(service.put_document("x", training_doc()).ok());
   const std::string before = service.handle({"GET", "/api/v0/documents/x", ""}).body;
@@ -650,8 +546,8 @@ TEST(ShardedService, BulkRollbackRestoresARepeatedNameToItsPreBatchBytes) {
   EXPECT_FALSE(find_prov_node(service.graph(), "x", "v2").has_value());
 }
 
-TEST(ShardedService, BulkIngestReportsAggregateStats) {
-  YProvService service(4);
+TEST(Service, BulkIngestReportsAggregateStats) {
+  YProvService service;
   std::vector<std::pair<std::string, prov::Document>> batch;
   batch.emplace_back("s1", training_doc());
   batch.emplace_back("s2", training_doc());

@@ -16,6 +16,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "provml/common/file_io.hpp"
@@ -579,6 +580,55 @@ TEST_F(WalTest, ReplaceRejectedByTheWalKeepsThePreviousBytes) {
   EXPECT_EQ(recovered.value().documents.at("m"), before);
 }
 
+TEST_F(WalTest, BulkWalFailureKeepsTheLoggedPrefixAndRestoresTheRest) {
+  graphstore::YProvService service;
+  ASSERT_TRUE(service.attach_wal(dir()).ok());
+  ASSERT_TRUE(service.put_document("keep", tiny_doc("keep")).ok());
+  ASSERT_TRUE(service.put_document("r", tiny_doc("r_old")).ok());
+  const auto get = [&service](const std::string& name) {
+    return service.handle({"GET", "/api/v0/documents/" + name, ""});
+  };
+  const std::string keep_before = get("keep").body;
+  const std::string r_before = get("r").body;
+
+  std::vector<std::pair<std::string, prov::Document>> batch;
+  batch.emplace_back("n1", tiny_doc("n1"));
+  batch.emplace_back("n2", tiny_doc("n2"));
+  batch.emplace_back("r", tiny_doc("r_new"));
+  batch.emplace_back("n3", tiny_doc("n3"));
+  {
+    // The batch's second append fails: n1 is logged, n2/r/n3 are not.
+    fault::ScopedFault armed("storage.write", {.fail_on_nth = 2});
+    EXPECT_FALSE(service.put_documents(batch).ok());
+  }
+
+  // The logged prefix is served.
+  const graphstore::Response n1 = get("n1");
+  EXPECT_EQ(n1.status, 200);
+  EXPECT_EQ(n1.body, prov::to_prov_json_string(tiny_doc("n1"), false));
+  EXPECT_TRUE(graphstore::find_prov_node(service.graph(), "n1", "ex:n1").has_value());
+  // Every later name holds its pre-batch bytes, the replaced one included.
+  EXPECT_EQ(get("n2").status, 404);
+  EXPECT_EQ(get("n3").status, 404);
+  EXPECT_EQ(get("r").body, r_before);
+  EXPECT_EQ(get("keep").body, keep_before);
+  EXPECT_TRUE(graphstore::find_prov_node(service.graph(), "r", "ex:r_old").has_value());
+  EXPECT_FALSE(graphstore::find_prov_node(service.graph(), "r", "ex:r_new").has_value());
+  EXPECT_FALSE(graphstore::find_prov_node(service.graph(), "n2", "ex:n2").has_value());
+  EXPECT_FALSE(graphstore::find_prov_node(service.graph(), "n3", "ex:n3").has_value());
+
+  // Memory equals what recovery reproduces from the log.
+  auto recovered = recover(dir());
+  ASSERT_TRUE(recovered.ok());
+  std::map<std::string, std::string> served;
+  for (const std::string& name : service.list_documents()) served[name] = get(name).body;
+  EXPECT_EQ(recovered.value().documents, served);
+  auto loaded = graphstore::YProvService::load(dir());
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  EXPECT_EQ(loaded.value().graph().node_count(), service.graph().node_count());
+  EXPECT_EQ(loaded.value().graph().edge_count(), service.graph().edge_count());
+}
+
 TEST_F(WalTest, GetBodyEqualsTheRecoveredAndSavedBytes) {
   // Pretty-printed generated documents: the service stores and serves the
   // canonical compact form, and that form is a fixed point of re-parsing,
@@ -627,7 +677,7 @@ TEST_F(WalTest, SaveToFreshDirAndLoadRoundTrips) {
   ASSERT_TRUE(service.put_document("a", tiny_doc("a")).ok());
   ASSERT_TRUE(service.put_document("b", tiny_doc("b")).ok());
   ASSERT_TRUE(service.save(dir()).ok());
-  EXPECT_TRUE(graphstore::YProvService::store_exists(dir()));
+  EXPECT_TRUE(store_exists(dir()));
 
   auto loaded = graphstore::YProvService::load(dir());
   ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
@@ -644,27 +694,6 @@ TEST_F(WalTest, SaveOnAttachedServiceIsCompaction) {
   const wal::Stats stats = service.wal_stats();
   EXPECT_EQ(stats.snapshot_lsn, 1u);
   EXPECT_GE(stats.compactions, 1u);
-}
-
-TEST_F(WalTest, LegacyIndexJsonStoreStillLoads) {
-  fs::create_directories(dir_);
-  const std::string doc_json = prov::to_prov_json_string(tiny_doc("legacy"), false);
-  ASSERT_TRUE(io::write_text_atomic((dir_ / "legacy.prov.json").string(), doc_json).ok());
-  ASSERT_TRUE(io::write_text_atomic(
-                  (dir_ / "index.json").string(),
-                  "{\"documents\":[{\"name\":\"legacy\",\"file\":\"legacy.prov.json\"}]}")
-                  .ok());
-  ASSERT_FALSE(store_exists(dir()));  // wal-layer: no wal files yet
-  ASSERT_TRUE(graphstore::YProvService::store_exists(dir()));
-  auto loaded = graphstore::YProvService::load(dir());
-  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
-  EXPECT_EQ(loaded.value().document_count(), 1u);
-  // First save upgrades the layout in place.
-  ASSERT_TRUE(loaded.value().save(dir()).ok());
-  EXPECT_TRUE(store_exists(dir()));
-  auto recovered = recover(dir());
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE(recovered.value().documents.count("legacy"));
 }
 
 // ------------------------------------------------------------ group commit
