@@ -1,6 +1,6 @@
-// Ablation: HTTP server worker-thread count. Mirrors the sweep-threading
+// Ablation: HTTP server serving-thread count. Mirrors the sweep-threading
 // ablation (DESIGN.md §2): fixed client concurrency hammering the yProv
-// service on loopback, measuring requests/s as the worker pool grows.
+// service on loopback, measuring requests/s as the thread count grows.
 // Route handling serializes on the store mutex, so the sweep exposes how
 // much of the request path (parsing, socket I/O, response serialization)
 // parallelizes around that critical section.
@@ -37,7 +37,7 @@ prov::Document seed_document(int pairs = 8) {
   return doc;
 }
 
-/// Requests/s versus worker-thread count: 8 concurrent keep-alive clients,
+/// Requests/s versus serving-thread count: 8 concurrent keep-alive clients,
 /// each issuing GETs against the stats route.
 void BM_ServerRequestThroughput(benchmark::State& state) {
   YProvHttpApp app;
@@ -76,7 +76,7 @@ BENCHMARK(BM_ServerRequestThroughput)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Closed-loop read throughput: worker-thread sweep × response mode.
+/// Closed-loop read throughput: serving-thread sweep × response mode.
 /// Mode 0 (uncached): every GET re-runs the route under the service's
 /// shared lock. Mode 1 (cached): repeat reads at an unchanged graph
 /// version are served from the LRU response cache — the body still

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 
 #include "provml/common/strings.hpp"
 #include "provml/compress/container.hpp"
@@ -35,7 +36,9 @@
 namespace provml::cli {
 namespace {
 
-/// Splits args into positionals and --key value options.
+/// Splits args into positionals and --key value options. `--explain` is
+/// the one bare flag: it takes no value, so it never eats the positional
+/// that follows it.
 struct ParsedArgs {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
@@ -46,7 +49,7 @@ ParsedArgs parse_args(const std::vector<std::string>& args, std::size_t start) {
   for (std::size_t i = start; i < args.size(); ++i) {
     if (args[i].size() > 2 && args[i].substr(0, 2) == "--") {
       const std::string key = args[i].substr(2);
-      if (i + 1 < args.size()) {
+      if (key != "explain" && i + 1 < args.size()) {
         parsed.options[key] = args[++i];
       } else {
         parsed.options[key] = "";
@@ -61,6 +64,36 @@ ParsedArgs parse_args(const std::vector<std::string>& args, std::size_t start) {
 int fail(std::ostream& err, const std::string& message) {
   err << "error: " << message << "\n";
   return 1;
+}
+
+/// The --options each command's usage() line lists. Commands read only
+/// the keys they know, so without this check a misspelt or removed
+/// option would be silently ignored.
+const std::map<std::string, std::set<std::string>>& known_options() {
+  static const std::map<std::string, std::set<std::string>> options = {
+      {"validate", {}},
+      {"stats", {"url"}},
+      {"convert", {"to", "out"}},
+      {"constraints", {}},
+      {"timeline", {}},
+      {"subgraph", {"hops", "out"}},
+      {"diff", {}},
+      {"lineage", {"direction", "depth"}},
+      {"ingest", {"url"}},
+      {"list", {}},
+      {"get", {"element"}},
+      {"query", {"url", "explain", "page-size"}},
+      {"serve",
+       {"port", "threads", "data-dir", "snapshot", "cache", "max-connections", "fsync",
+        "wal-segment-bytes"}},
+      {"fit", {}},
+      {"predict", {"k"}},
+      {"report", {}},
+      {"crate", {"name"}},
+      {"pack", {"codec"}},
+      {"unpack", {}},
+  };
+  return options;
 }
 
 int cmd_validate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
@@ -669,18 +702,18 @@ int cmd_serve(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 
   net::HttpServer server(config,
                          [&app](const net::HttpRequest& r) { return app.handle(r); });
-  // Workers log concurrently; serialize writes to the shared stream.
+  // Serving threads log concurrently; serialize writes to the shared stream.
   auto log_mutex = std::make_shared<std::mutex>();
   server.set_access_logger([&out, log_mutex](const std::string& line) {
     const std::lock_guard<std::mutex> lock(*log_mutex);
     out << line << "\n";
   });
-  // /api/v0/health reports the event loop's gauges alongside app counters.
+  // /api/v0/health reports the server's gauges alongside app counters.
   app.set_server_stats_provider([&server] { return server.stats(); });
   Status started = server.start();
   if (!started.ok()) return fail(err, started.error().to_string());
   out << "yprov service listening on http://" << config.host << ":" << server.port()
-      << " (epoll event loop, " << config.threads << " worker thread(s), ";
+      << " (" << config.threads << " serving thread(s) on one epoll set, ";
   if (config.max_connections > 0) {
     out << "max " << config.max_connections << " connection(s), ";
   }
@@ -715,7 +748,8 @@ std::string usage() {
          "  validate <file>                     check a PROV-JSON document\n"
          "  stats <file>                        element/relation counts\n"
          "  stats --url <svc> <name>            stats of a served document\n"
-         "  convert <file> --to provn|dot|ttl|xml re-serialize a document\n"
+         "  convert <file> --to provn|dot|ttl|xml [--out <path>]\n"
+         "                                      re-serialize a document\n"
          "  constraints <file>                  PROV-CONSTRAINTS checks\n"
          "  timeline <file>                     Gantt view of run activities\n"
          "  subgraph <file> <id> [--hops N] [--out <path>]\n"
@@ -742,7 +776,8 @@ std::string usage() {
          "                                      --data-dir persists writes via a\n"
          "                                      WAL (--snapshot is an alias)\n"
          "  fit <store>                         fit the scaling law to stored runs\n"
-         "  predict <store> <output> k=v...     k-NN forecast from stored runs\n"
+         "  predict <store> <output> k=v... [--k N]\n"
+         "                                      k-NN forecast from stored runs\n"
          "  report <store>                      tabulate run outputs\n"
          "  crate <dir> [--name <n>]            wrap a directory as an RO-Crate\n"
          "  pack <in> <out> [--codec lzss]      compress a file\n"
@@ -756,39 +791,33 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
   }
   const std::string& command = args[0];
   const ParsedArgs parsed = parse_args(args, 1);
+  const auto known = known_options().find(command);
+  if (known != known_options().end()) {
+    for (const auto& [name, value] : parsed.options) {
+      if (known->second.count(name) == 0) return fail(err, "unknown option --" + name);
+    }
+  }
   if (command == "validate") return cmd_validate(parsed, out, err);
   if (command == "constraints") return cmd_constraints(parsed, out, err);
   if (command == "timeline") return cmd_timeline(parsed, out, err);
   if (command == "subgraph") return cmd_subgraph(parsed, out, err);
   if (command == "query") {
-    // --explain is a bare flag (no value), so pull it out before the
-    // generic key/value parse would eat the following positional.
-    std::vector<std::string> rest(args.begin() + 1, args.end());
-    bool explain = false;
-    for (auto it = rest.begin(); it != rest.end();) {
-      if (*it == "--explain") {
-        explain = true;
-        it = rest.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    const ParsedArgs qargs = parse_args(rest, 0);
+    const bool explain = parsed.options.count("explain") != 0;
     std::size_t page_size = 0;  // 0 = one-shot (no paging)
-    const auto page_opt = qargs.options.find("page-size");
-    if (page_opt != qargs.options.end()) {
+    const auto page_opt = parsed.options.find("page-size");
+    if (page_opt != parsed.options.end()) {
       const auto value = strings::to_int64(page_opt->second);
       if (!value || *value < 1) return fail(err, "invalid --page-size (>= 1)");
       page_size = static_cast<std::size_t>(*value);
     }
-    if (qargs.options.count("url") != 0) {
-      if (qargs.positional.size() != 1) {
+    if (parsed.options.count("url") != 0) {
+      if (parsed.positional.size() != 1) {
         return fail(err, "query --url takes a MATCH query (no store dir)");
       }
-      return cmd_query_remote(qargs.options.at("url"), qargs.positional[0], explain,
+      return cmd_query_remote(parsed.options.at("url"), parsed.positional[0], explain,
                               page_size, out, err);
     }
-    return cmd_query(qargs, explain, page_size, out, err);
+    return cmd_query(parsed, explain, page_size, out, err);
   }
   if (command == "serve") return cmd_serve(parsed, out, err);
   if (command == "fit") return cmd_fit(parsed, out, err);

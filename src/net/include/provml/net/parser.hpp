@@ -48,8 +48,8 @@ class RequestParser {
   /// The parsed request; valid once complete().
   [[nodiscard]] const HttpRequest& request() const { return request_; }
 
-  /// Moves the completed request out (the event loop hands it to a
-  /// worker without copying the body). The parser stays complete();
+  /// Moves the completed request out (the serving thread hands it to the
+  /// handler without copying the body). The parser stays complete();
   /// reset() starts the next request as usual.
   [[nodiscard]] HttpRequest take_request() {
     HttpRequest out = std::move(request_);

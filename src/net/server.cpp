@@ -20,11 +20,10 @@
 namespace provml::net {
 namespace {
 
-// epoll_event.data.u64 tags for the loop's own fds; connection ids start
+// epoll_event.data.u64 tags for the server's own fds; connection ids start
 // at 16 so they can never collide.
 constexpr std::uint64_t kListenTag = 1;
 constexpr std::uint64_t kStopTag = 2;
-constexpr std::uint64_t kWakeTag = 3;
 
 constexpr int kAcceptBackoffMs = 100;  ///< pause after unrecoverable EMFILE
 
@@ -45,11 +44,16 @@ std::string json_error(const std::string& message) {
   return "{\"error\":\"" + message + "\"}";
 }
 
-/// Drains a self-pipe so level-triggered epoll stops reporting it.
-void drain_pipe(int fd) {
-  char buf[64];
-  while (::read(fd, buf, sizeof buf) > 0) {
-  }
+/// Best-effort final answer on a connection about to be closed. The
+/// response is far below any socket buffer, so one non-blocking send
+/// either takes it whole or the peer is gone anyway.
+void send_final(int fd, int status, const std::string& message) {
+  HttpResponse response;
+  response.status = status;
+  response.body = json_error(message);
+  response.close = true;
+  const std::string wire = serialize(response, /*keep_alive=*/false);
+  (void)!::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
 }
 
 }  // namespace
@@ -99,56 +103,46 @@ Status HttpServer::start() {
     return Error{std::strerror(errno), "nonblocking listen socket"};
   }
 
-  if (::pipe(stop_pipe_) != 0 || ::pipe(wake_pipe_) != 0) {
+  if (::pipe(stop_pipe_) != 0) {
     const std::string message = std::strerror(errno);
     close_fd(listen_fd_);
-    close_fd(stop_pipe_[0]);
-    close_fd(stop_pipe_[1]);
-    close_fd(wake_pipe_[0]);
-    close_fd(wake_pipe_[1]);
     return Error{message, "pipe"};
   }
   // The stop write end is poked from signal handlers: never let it block.
-  for (const int fd : {stop_pipe_[0], stop_pipe_[1], wake_pipe_[0], wake_pipe_[1]}) {
-    (void)set_nonblocking(fd);
-  }
+  for (const int fd : stop_pipe_) (void)set_nonblocking(fd);
 
   epoll_fd_ = ::epoll_create1(0);
-  if (epoll_fd_ < 0) {
-    const std::string message = std::strerror(errno);
-    close_fd(listen_fd_);
-    close_fd(stop_pipe_[0]);
-    close_fd(stop_pipe_[1]);
-    close_fd(wake_pipe_[0]);
-    close_fd(wake_pipe_[1]);
-    return Error{message, "epoll_create1"};
-  }
-  if (!update_epoll(listen_fd_, kListenTag, EPOLLIN) ||
-      !update_epoll(stop_pipe_[0], kStopTag, EPOLLIN) ||
-      !update_epoll(wake_pipe_[0], kWakeTag, EPOLLIN)) {
+  // The listen fd is one-shot like every connection: the thread that sees
+  // it ready accepts until the backlog drains, then re-arms it. The stop
+  // pipe stays level-triggered, and its byte is never read, so every
+  // serving thread's epoll_wait reports it.
+  if (epoll_fd_ < 0 || !update_epoll(listen_fd_, kListenTag, EPOLLIN | EPOLLONESHOT) ||
+      !update_epoll(stop_pipe_[0], kStopTag, EPOLLIN)) {
     const std::string message = std::strerror(errno);
     close_fd(epoll_fd_);
     close_fd(listen_fd_);
     close_fd(stop_pipe_[0]);
     close_fd(stop_pipe_[1]);
-    close_fd(wake_pipe_[0]);
-    close_fd(wake_pipe_[1]);
-    return Error{message, "epoll_ctl"};
+    return Error{message, "epoll"};
   }
 
   // Held in reserve so accept() can still succeed (and answer 503) once
   // the process hits its fd limit; see handle_fd_exhaustion().
   reserve_fd_ = ::open("/dev/null", O_RDONLY);
 
+  // The sweep granularity bounds how late a timeout fires; a quarter of
+  // the configured timeout keeps the error small without scanning every
+  // connection on every wakeup.
+  sweep_ms_ = config_.read_timeout_ms > 0 ? std::clamp(config_.read_timeout_ms / 4, 5, 250)
+                                          : 250;
+  next_sweep_.store(
+      (Clock::now() + std::chrono::milliseconds(sweep_ms_)).time_since_epoch().count());
   stopping_.store(false);
-  workers_quit_ = false;
-  accept_paused_ = false;
-  in_flight_ = 0;
+  accept_paused_.store(false);
   running_.store(true);
-  event_thread_ = std::thread([this] { event_loop(); });
-  workers_.reserve(config_.threads);
+  threads_.reserve(config_.threads);
   for (unsigned i = 0; i < config_.threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    threads_.emplace_back([this] { serve_loop(); });
   }
   return Status::ok_status();
 }
@@ -176,25 +170,22 @@ void HttpServer::stop() {
   const std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
   if (!running_.load()) return;
   request_stop();
-  if (event_thread_.joinable()) event_thread_.join();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    workers_quit_ = true;
+  // Each thread finishes the exchange it owns (its response goes out with
+  // Connection: close) before it sees the stop event and exits.
+  for (std::thread& thread : threads_) {
+    if (thread.joinable()) thread.join();
   }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  jobs_.clear();
-  done_.clear();
+  threads_.clear();
+  // No thread is left to own a connection: close the idle and the
+  // half-read ones.
+  for (auto& [id, conn] : conns_) ::close(conn->fd);
+  conns_.clear();
+  open_connections_.store(0);
   close_fd(reserve_fd_);
   close_fd(epoll_fd_);
   close_fd(listen_fd_);
   close_fd(stop_pipe_[0]);
   close_fd(stop_pipe_[1]);
-  close_fd(wake_pipe_[0]);
-  close_fd(wake_pipe_[1]);
   running_.store(false);
 }
 
@@ -224,89 +215,58 @@ bool HttpServer::update_epoll(int fd, std::uint64_t id, std::uint32_t events) co
   return ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
-// ------------------------------------------------------------- event loop
+// ---------------------------------------------------------- serving threads
 
-void HttpServer::event_loop() {
-  // The sweep granularity bounds how late a timeout fires; a quarter of
-  // the configured timeout keeps the error small without scanning every
-  // connection on every wakeup.
-  const int sweep_ms =
-      config_.read_timeout_ms > 0
-          ? std::clamp(config_.read_timeout_ms / 4, 5, 250)
-          : 250;
-  epoll_event events[128];
-  bool stop_seen = false;
-  Clock::time_point next_sweep = Clock::now() + std::chrono::milliseconds(sweep_ms);
-
+void HttpServer::serve_loop() {
   for (;;) {
     // Sleep forever only when there is nothing to time out and no
-    // pending accept-backoff or shutdown drain to re-check.
-    const bool need_tick = !conns_.empty() || accept_paused_ || stop_seen;
-    const int timeout_ms = need_tick ? sweep_ms : -1;
-    const int n = ::epoll_wait(epoll_fd_, events, 128, timeout_ms);
+    // accept backoff to lift.
+    const bool need_tick = open_connections_.load() > 0 || accept_paused_.load();
+    // One event per wakeup: a thread holding a batch would queue the
+    // other ready connections behind its current handler.
+    epoll_event event{};
+    const int n = ::epoll_wait(epoll_fd_, &event, 1, need_tick ? sweep_ms_ : -1);
     ++epoll_wakeups_;
     if (n < 0) {
       if (errno == EINTR) continue;
-      break;  // epoll fd gone: shutdown race, bail out
+      return;  // epoll fd gone: shutdown race, bail out
     }
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t tag = events[i].data.u64;
-      if (tag == kStopTag) {
-        // Leave the byte unread: wait() polls the same read end. Deleting
-        // the registration stops level-triggered refiring here.
-        (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, stop_pipe_[0], nullptr);
-        (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        stop_seen = true;
-      } else if (tag == kWakeTag) {
-        drain_pipe(wake_pipe_[0]);
-      } else if (tag == kListenTag) {
-        if (!stop_seen) handle_accept();
+    if (n == 1) {
+      if (event.data.u64 == kStopTag) return;  // left readable for the others
+      if (event.data.u64 == kListenTag) {
+        handle_accept();
       } else {
-        handle_connection_event(tag, events[i].events);
+        serve_connection(event.data.u64);
       }
     }
-    process_completions();
-
+    // Whichever thread is free when the sweep is due runs it.
     const Clock::time_point now = Clock::now();
-    if (now >= next_sweep) {
-      sweep_timeouts(now);
-      if (accept_paused_ && now >= accept_resume_at_ && !stop_seen) {
-        accept_paused_ = false;
-        (void)update_epoll(listen_fd_, kListenTag, EPOLLIN);
-      }
-      next_sweep = now + std::chrono::milliseconds(sweep_ms);
+    Clock::rep due = next_sweep_.load();
+    if (now.time_since_epoch().count() >= due &&
+        next_sweep_.compare_exchange_strong(
+            due, (now + std::chrono::milliseconds(sweep_ms_)).time_since_epoch().count())) {
+      sweep(now);
     }
-    if (stop_seen && in_flight_ == 0) break;
   }
-
-  // Drain: every dispatched job has been answered (in_flight_ == 0), so
-  // remaining connections are idle or mid-read; close them all.
-  for (auto& [id, conn] : conns_) {
-    ::close(conn->fd);
-  }
-  conns_.clear();
-  open_connections_.store(0);
 }
 
 void HttpServer::handle_accept() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (stopping_.load()) return;  // leave the listen fd disarmed
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EMFILE || errno == ENFILE) {
-        handle_fd_exhaustion();
-        return;
+      if ((errno == EMFILE || errno == ENFILE) && !handle_fd_exhaustion()) {
+        return;  // paused: the sweep re-arms the listen fd after the backoff
       }
-      return;  // transient (ECONNABORTED etc.): re-polled next wakeup
+      // Drained (EAGAIN), or transient (ECONNABORTED etc.): re-arm and let
+      // epoll report whatever is still pending.
+      break;
     }
     ++connections_accepted_;
     if (config_.max_connections > 0 && conns_.size() >= config_.max_connections) {
       shed_connection(fd);
-      continue;
-    }
-    if (!set_nonblocking(fd)) {
-      ::close(fd);
       continue;
     }
     const std::uint64_t id = next_conn_id_++;
@@ -314,162 +274,156 @@ void HttpServer::handle_accept() {
     conn->fd = fd;
     conn->id = id;
     conn->last_activity = Clock::now();
-    if (!update_epoll(fd, id, EPOLLIN)) {
+    if (!update_epoll(fd, id, EPOLLIN | EPOLLONESHOT)) {
       ::close(fd);
       continue;
     }
     conns_.emplace(id, std::move(conn));
     open_connections_.store(conns_.size());
   }
+  (void)update_epoll(listen_fd_, kListenTag, EPOLLIN | EPOLLONESHOT);
 }
 
-/// The process is out of fds: accept() fails instantly, so a level-
-/// triggered listen socket would spin the loop hot. Close the reserve fd
-/// to accept exactly one peer and tell it 503 (instead of leaving it in
-/// the backlog), then reopen the reserve. If the fd space is still
-/// exhausted, pause accepting for a short backoff.
-void HttpServer::handle_fd_exhaustion() {
-  bool recovered = false;
+/// The process is out of fds: accept() fails instantly, so re-arming the
+/// listen socket would spin a thread hot. Close the reserve fd to accept
+/// exactly one peer and tell it 503 (instead of leaving it in the
+/// backlog), then reopen the reserve. If the fd space is still exhausted,
+/// leave the listen fd disarmed for a short backoff and return false.
+/// Called with mutex_ held.
+bool HttpServer::handle_fd_exhaustion() {
   if (reserve_fd_ >= 0) {
     close_fd(reserve_fd_);
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd >= 0) shed_connection(fd);
     reserve_fd_ = ::open("/dev/null", O_RDONLY);
-    recovered = fd >= 0 && reserve_fd_ >= 0;
+    if (fd >= 0 && reserve_fd_ >= 0) return true;
   }
-  if (!recovered) {
-    pause_accepting(Clock::now() + std::chrono::milliseconds(kAcceptBackoffMs));
-  }
+  accept_resume_at_ = Clock::now() + std::chrono::milliseconds(kAcceptBackoffMs);
+  accept_paused_.store(true);
+  return false;
 }
 
-void HttpServer::pause_accepting(Clock::time_point until) {
-  if (!accept_paused_) {
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-    accept_paused_ = true;
-  }
-  accept_resume_at_ = until;
-}
-
-/// Load shed at accept time: a one-shot 503 with Connection: close. The
-/// fd is still blocking (accept does not inherit O_NONBLOCK) but the
-/// response is far below any socket buffer, so the send cannot stall.
+/// Load shed at accept time: a one-shot 503 with Connection: close.
 void HttpServer::shed_connection(int fd) {
   ++connections_shed_;
-  HttpResponse overloaded;
-  overloaded.status = 503;
-  overloaded.body = json_error("server at connection capacity");
-  overloaded.close = true;
-  const std::string wire = serialize(overloaded, /*keep_alive=*/false);
-  (void)!::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+  send_final(fd, 503, "server at connection capacity");
   ::close(fd);
 }
 
-void HttpServer::handle_connection_event(std::uint64_t id, std::uint32_t events) {
-  const auto it = conns_.find(id);
-  if (it == conns_.end()) return;  // closed earlier this batch
-  Connection& conn = *it->second;
-
-  if (conn.state == Connection::State::kDispatched) {
-    // Events are masked off while a worker owns the request, but
-    // EPOLLERR/EPOLLHUP are always reported: the peer is fully gone, so
-    // drop the connection now (the pending completion is discarded when
-    // it finds no connection under this id).
-    if ((events & (EPOLLERR | EPOLLHUP)) != 0) close_connection(id);
-    return;
+/// Runs on the thread whose epoll_wait returned this connection's one-shot
+/// event: that thread owns the connection until release() or close.
+void HttpServer::serve_connection(std::uint64_t id) {
+  Connection* conn = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) return;  // swept after its event fired
+    conn = it->second.get();
+    conn->owned = true;
   }
-  if (conn.state == Connection::State::kWriting) {
-    if ((events & EPOLLERR) != 0) {
-      close_connection(id);
-      return;
-    }
-    switch (flush_writes(conn)) {
-      case Flush::kDone:
-        finish_write(conn);
+  // Re-armed for EPOLLOUT after a short write: finish that response first.
+  if (conn->write_head.empty() && !read_request(*conn)) return;
+  for (;;) {
+    if (conn->write_head.empty()) {
+      if (!conn->parser.complete() && !conn->parser.failed()) {
+        release(*conn, EPOLLIN);
         return;
+      }
+      prepare_response(*conn);
+      if (fault::triggered("net.send")) {
+        close_connection(*conn);
+        return;
+      }
+    }
+    switch (flush_writes(*conn)) {
+      case Flush::kDone:
+        break;
       case Flush::kBlocked:
+        release(*conn, EPOLLOUT);
         return;
       case Flush::kError:
-        close_connection(id);
+        close_connection(*conn);
         return;
     }
-    return;
+    if (conn->close_after_write) {
+      close_connection(*conn);
+      return;
+    }
+    // Strictly serial per connection, as HTTP requires: a pipelined
+    // request already buffered in the parser is served next, here; the
+    // socket itself goes back to epoll once the buffer holds no whole one.
+    conn->write_head.clear();
+    conn->write_body.clear();
+    conn->write_off = 0;
+    conn->parser.reset();
   }
-  // kReading: feed the parser from the socket.
-  handle_readable(conn);
 }
 
-void HttpServer::handle_readable(Connection& conn) {
+/// Feeds the parser until it holds a complete (or failed) request or the
+/// socket is drained. Returns false after closing a connection whose peer
+/// hung up or failed.
+bool HttpServer::read_request(Connection& conn) {
   char buf[16384];
   while (!conn.parser.complete() && !conn.parser.failed()) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
     if (n == 0) {
-      close_connection(conn.id);  // peer closed
-      return;
+      close_connection(conn);  // peer closed
+      return false;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // drained
-      close_connection(conn.id);
-      return;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;  // drained
+      close_connection(conn);
+      return false;
     }
     conn.last_activity = Clock::now();
     conn.parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
   }
+  return true;
+}
 
+/// Turns what the parser holds into the connection's pending response:
+/// the handler's answer to a parsed request, or the error status (and a
+/// close) for a malformed one.
+void HttpServer::prepare_response(Connection& conn) {
   if (conn.parser.failed()) {
     ++parse_errors_;
     HttpResponse error;
     error.status = conn.parser.error_status();
     error.body = json_error(conn.parser.error_message());
     record_response(error.status, 0);
-    if (access_logger_) {
-      access_logger_("(malformed) " + std::to_string(error.status));
-    }
-    std::string head = serialize_head(error, /*keep_alive=*/false);
-    begin_write(conn, std::move(head), std::move(error.body), /*close_after=*/true);
+    if (access_logger_) access_logger_("(malformed) " + std::to_string(error.status));
+    conn.write_head = serialize_head(error, /*keep_alive=*/false);
+    conn.write_body = std::move(error.body);
+    conn.close_after_write = true;
     return;
   }
-  dispatch(conn);
-}
-
-/// Hands the fully-parsed request to the worker pool and masks the fd's
-/// events: nothing more is read from this connection until the response
-/// has been written (strict serial per connection, as HTTP requires).
-void HttpServer::dispatch(Connection& conn) {
-  conn.state = Connection::State::kDispatched;
-  (void)update_epoll(conn.fd, conn.id, 0);
-  ++in_flight_;
-  Job job;
-  job.conn_id = conn.id;
-  job.request = conn.parser.take_request();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.push_back(std::move(job));
+  const HttpRequest request = conn.parser.take_request();
+  const auto t0 = Clock::now();
+  HttpResponse response;
+  try {
+    response = handler_(request);
+  } catch (const std::exception&) {
+    response = HttpResponse{};
+    response.status = 500;
+    response.body = json_error("internal error");
   }
-  cv_.notify_one();
-}
-
-void HttpServer::begin_write(Connection& conn, std::string head, std::string body,
-                             bool close_after) {
-  conn.write_head = std::move(head);
-  conn.write_body = std::move(body);
-  conn.write_off = 0;
-  conn.close_after_write = close_after;
-  conn.state = Connection::State::kWriting;
-  if (fault::triggered("net.send")) {
-    close_connection(conn.id);
-    return;
-  }
-  switch (flush_writes(conn)) {
-    case Flush::kDone:
-      finish_write(conn);
-      return;
-    case Flush::kBlocked:
-      (void)update_epoll(conn.fd, conn.id, EPOLLOUT);
-      return;
-    case Flush::kError:
-      close_connection(conn.id);
-      return;
+  const auto latency_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count());
+  // A stop requested while the handler ran still gets this response, but
+  // with Connection: close.
+  const bool keep = request.keep_alive() && !response.close && !stopping_.load();
+  conn.write_head = serialize_head(response, keep);
+  conn.write_body = std::move(response.body);
+  conn.close_after_write = !keep;
+  // Record before the response can reach the peer so stats are visible
+  // to any observer who has already received it.
+  record_response(response.status, latency_us);
+  if (access_logger_) {
+    access_logger_(request.method + " " + request.target + " " +
+                   std::to_string(response.status) + " " +
+                   std::to_string(conn.write_head.size() + conn.write_body.size()) + " " +
+                   std::to_string(latency_us) + "us");
   }
 }
 
@@ -511,82 +465,21 @@ HttpServer::Flush HttpServer::flush_writes(Connection& conn) {
   return Flush::kDone;
 }
 
-/// The response is fully on the wire: either close, or return to the
-/// reading state. A pipelined request may already be buffered in the
-/// parser, in which case it dispatches immediately.
-void HttpServer::finish_write(Connection& conn) {
-  if (conn.close_after_write) {
-    close_connection(conn.id);
-    return;
-  }
-  conn.write_head.clear();
-  conn.write_body.clear();
-  conn.write_off = 0;
-  conn.state = Connection::State::kReading;
-  conn.last_activity = Clock::now();
-  conn.parser.reset();
-  if (conn.parser.complete()) {
-    dispatch(conn);
-    return;
-  }
-  if (conn.parser.failed()) {
-    ++parse_errors_;
-    HttpResponse error;
-    error.status = conn.parser.error_status();
-    error.body = json_error(conn.parser.error_message());
-    record_response(error.status, 0);
-    std::string head = serialize_head(error, /*keep_alive=*/false);
-    begin_write(conn, std::move(head), std::move(error.body), /*close_after=*/true);
-    return;
-  }
-  (void)update_epoll(conn.fd, conn.id, EPOLLIN);
+/// Hands the connection back and re-arms its one-shot interest. Both
+/// happen under the registry mutex, so the sweep can never close (and
+/// accept never reuse) the fd number between the two.
+void HttpServer::release(Connection& conn, std::uint32_t events) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  conn.owned = false;
+  if (!update_epoll(conn.fd, conn.id, events | EPOLLONESHOT)) erase_locked(conn.id);
 }
 
-void HttpServer::process_completions() {
-  std::deque<Done> batch;
-  {
-    const std::lock_guard<std::mutex> lock(done_mutex_);
-    batch.swap(done_);
-  }
-  for (Done& done : batch) {
-    --in_flight_;
-    const auto it = conns_.find(done.conn_id);
-    if (it == conns_.end()) continue;  // connection died while dispatched
-    begin_write(*it->second, std::move(done.head), std::move(done.body), !done.keep);
-  }
+void HttpServer::close_connection(Connection& conn) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  erase_locked(conn.id);
 }
 
-void HttpServer::sweep_timeouts(Clock::time_point now) {
-  if (config_.read_timeout_ms <= 0) return;
-  const auto timeout = std::chrono::milliseconds(config_.read_timeout_ms);
-  // Collect first: timing out a connection mutates conns_.
-  std::vector<Connection*> stale;
-  for (auto& [id, conn] : conns_) {
-    if (conn->state != Connection::State::kDispatched &&
-        now - conn->last_activity > timeout) {
-      stale.push_back(conn.get());
-    }
-  }
-  for (Connection* conn : stale) {
-    ++read_timeouts_;
-    if (conn->state == Connection::State::kReading && !conn->parser.idle()) {
-      // A half-received request timed out; tell the peer before closing.
-      HttpResponse timeout_response;
-      timeout_response.status = 408;
-      timeout_response.body = json_error("request read timed out");
-      timeout_response.close = true;
-      std::string head = serialize_head(timeout_response, /*keep_alive=*/false);
-      begin_write(*conn, std::move(head), std::move(timeout_response.body),
-                  /*close_after=*/true);
-    } else {
-      // Idle keep-alive connections (and stuck writers) are reaped
-      // silently.
-      close_connection(conn->id);
-    }
-  }
-}
-
-void HttpServer::close_connection(std::uint64_t id) {
+void HttpServer::erase_locked(std::uint64_t id) {
   const auto it = conns_.find(id);
   if (it == conns_.end()) return;
   ::close(it->second->fd);  // closing also removes the fd from epoll
@@ -594,52 +487,33 @@ void HttpServer::close_connection(std::uint64_t id) {
   open_connections_.store(conns_.size());
 }
 
-// ---------------------------------------------------------------- workers
-
-void HttpServer::worker_loop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return workers_quit_ || !jobs_.empty(); });
-      if (jobs_.empty()) return;  // quitting, queue drained
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    HttpResponse response;
-    try {
-      response = handler_(job.request);
-    } catch (const std::exception& e) {
-      response = HttpResponse{};
-      response.status = 500;
-      response.body = json_error("internal error");
-      (void)e;
-    }
-    const auto latency_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    const bool keep =
-        job.request.keep_alive() && !response.close && !stopping_.load();
-    std::string head = serialize_head(response, keep);
-    // Record before the response can reach the peer so stats are visible
-    // to any observer who has already received it.
-    record_response(response.status, latency_us);
-    if (access_logger_) {
-      access_logger_(job.request.method + " " + job.request.target + " " +
-                     std::to_string(response.status) + " " +
-                     std::to_string(head.size() + response.body.size()) + " " +
-                     std::to_string(latency_us) + "us");
-    }
-    {
-      const std::lock_guard<std::mutex> lock(done_mutex_);
-      done_.push_back(Done{job.conn_id, std::move(head), std::move(response.body), keep});
-    }
-    const char byte = 'w';
-    (void)!::write(wake_pipe_[1], &byte, 1);
+/// Lifts an expired accept backoff and reaps connections idle past the
+/// read timeout. Owned connections are skipped: their thread is reading,
+/// handling or writing right now.
+void HttpServer::sweep(Clock::time_point now) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (accept_paused_.load() && now >= accept_resume_at_ && !stopping_.load()) {
+    accept_paused_.store(false);
+    (void)update_epoll(listen_fd_, kListenTag, EPOLLIN | EPOLLONESHOT);
   }
+  if (config_.read_timeout_ms <= 0) return;
+  const auto timeout = std::chrono::milliseconds(config_.read_timeout_ms);
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const Connection& conn = *it->second;
+    if (conn.owned || now - conn.last_activity <= timeout) {
+      ++it;
+      continue;
+    }
+    ++read_timeouts_;
+    // A half-received request timed out: tell the peer before closing.
+    // Idle keep-alive peers (and stuck writers) are reaped silently.
+    if (conn.write_head.empty() && !conn.parser.idle()) {
+      send_final(conn.fd, 408, "request read timed out");
+    }
+    ::close(conn.fd);
+    it = conns_.erase(it);
+  }
+  open_connections_.store(conns_.size());
 }
 
 void HttpServer::record_response(int status, std::uint64_t latency_us) {

@@ -71,8 +71,8 @@ void iteration(testkit::Rng& rng) {
 
   // Completion boundary: one byte per feed, completion lands on exactly
   // the last byte of the frame. This is the incremental-resume property
-  // the event loop depends on: a connection is dispatched when and only
-  // when its frame is whole.
+  // the server depends on: a request is handled when and only when its
+  // frame is whole.
   {
     net::RequestParser parser;
     std::size_t completed_at = 0;

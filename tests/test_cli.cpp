@@ -336,6 +336,26 @@ TEST_F(CliTest, ArgumentErrors) {
     EXPECT_EQ(code, 1) << args[0] << " " << args[3] << " " << args[4];
     EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
   }
+
+  // An option the command's usage line does not list is an error, not
+  // silently ignored: a misspelling, a removed option, an option of
+  // another command.
+  for (const auto& [args, option] :
+       std::vector<std::pair<std::vector<std::string>, std::string>>{
+           {{"lineage", doc, "ex:artifact/ckpt", "--dpeth", "1"}, "--dpeth"},
+           {{"serve", "--shards", "4"}, "--shards"},
+           {{"pack", doc, (dir_ / "packed").string(), "--codex", "lzss"}, "--codex"},
+           {{"query", store, "MATCH (e:Entity) RETURN e", "--page-sise", "2"}, "--page-sise"},
+           {{"lineage", doc, "ex:artifact/ckpt", "--explain"}, "--explain"},
+       }) {
+    auto [code, out, err] = run(args);
+    EXPECT_EQ(code, 1) << args[0] << " " << option;
+    EXPECT_EQ(err, "error: unknown option " + option + "\n");
+    EXPECT_TRUE(out.empty()) << out;
+  }
+  // --explain stays a bare flag: the query after it is still positional.
+  auto [code, out, err] = run({"query", store, "--explain", "MATCH (e:Entity) RETURN e"});
+  EXPECT_EQ(code, 0) << err;
 }
 
 }  // namespace

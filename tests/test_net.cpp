@@ -5,9 +5,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -167,10 +170,11 @@ TEST(UrlParse, AcceptsHostPortAndBasePath) {
 
 // ---------------------------------------------------------------- loopback
 
-/// Sends raw bytes to the server and returns everything it answers until
-/// it closes the connection. Used to exercise malformed-request paths the
+/// Sends raw bytes to the server, in chunks with a short pause between
+/// them, and returns everything it answers until it closes the
+/// connection. Used to exercise malformed-request and pipelining paths the
 /// well-behaved HttpClient cannot produce.
-std::string raw_exchange(std::uint16_t port, const std::string& wire) {
+std::string raw_exchange(std::uint16_t port, const std::vector<std::string>& chunks) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -181,7 +185,10 @@ std::string raw_exchange(std::uint16_t port, const std::string& wire) {
     ::close(fd);
     return "";
   }
-  (void)::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    (void)::send(fd, chunks[i].data(), chunks[i].size(), MSG_NOSIGNAL);
+  }
   std::string reply;
   char buf[4096];
   for (;;) {
@@ -191,6 +198,10 @@ std::string raw_exchange(std::uint16_t port, const std::string& wire) {
   }
   ::close(fd);
   return reply;
+}
+
+std::string raw_exchange(std::uint16_t port, const std::string& wire) {
+  return raw_exchange(port, std::vector<std::string>{wire});
 }
 
 TEST(HttpServer, LoopbackEndToEndWithARealRunDocument) {
@@ -368,24 +379,143 @@ TEST(HttpServer, ReadTimeoutAnswers408OnPartialRequest) {
 }
 
 TEST(HttpServer, PipelinedRequestsOnOneConnection) {
-  YProvHttpApp app;
-  ServerConfig config;
-  HttpServer server(config, [&app](const HttpRequest& r) { return app.handle(r); });
-  ASSERT_TRUE(server.start().ok());
-  const std::string reply = raw_exchange(
-      server.port(),
-      "GET /api/v0/health HTTP/1.1\r\n\r\n"
-      "GET /api/v0/documents HTTP/1.1\r\n\r\n"
-      "GET /api/v0/health HTTP/1.1\r\nConnection: close\r\n\r\n");
-  // Three responses on the wire, then the server closes (Connection: close).
-  std::size_t count = 0;
-  for (std::size_t pos = reply.find("HTTP/1.1 200"); pos != std::string::npos;
-       pos = reply.find("HTTP/1.1 200", pos + 1)) {
-    ++count;
+  {
+    YProvHttpApp app;
+    ServerConfig config;
+    HttpServer server(config, [&app](const HttpRequest& r) { return app.handle(r); });
+    ASSERT_TRUE(server.start().ok());
+    const std::string reply = raw_exchange(
+        server.port(),
+        "GET /api/v0/health HTTP/1.1\r\n\r\n"
+        "GET /api/v0/documents HTTP/1.1\r\n\r\n"
+        "GET /api/v0/health HTTP/1.1\r\nConnection: close\r\n\r\n");
+    // Three responses on the wire, then the server closes (Connection: close).
+    std::size_t count = 0;
+    for (std::size_t pos = reply.find("HTTP/1.1 200"); pos != std::string::npos;
+         pos = reply.find("HTTP/1.1 200", pos + 1)) {
+      ++count;
+    }
+    EXPECT_EQ(count, 3u);
+    EXPECT_EQ(server.stats().connections_accepted, 1u);
+    server.stop();
   }
-  EXPECT_EQ(count, 3u);
-  EXPECT_EQ(server.stats().connections_accepted, 1u);
+
+  // Eight pipelined requests on four threads, the second half sent while
+  // the first is being served: one connection is served by one thread at
+  // a time, so the handler never overlaps itself and the answers come
+  // back in request order.
+  std::atomic<int> running{0};
+  std::atomic<bool> overlapped{false};
+  ServerConfig config;
+  config.threads = 4;
+  HttpServer server(config, [&](const HttpRequest& request) {
+    if (running.fetch_add(1) != 0) overlapped = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    running.fetch_sub(1);
+    HttpResponse response;
+    response.body = request.target;
+    return response;
+  });
+  ASSERT_TRUE(server.start().ok());
+  std::vector<std::string> chunks(2);
+  for (int i = 0; i < 8; ++i) {
+    chunks[static_cast<std::size_t>(i / 4)] +=
+        "GET /r" + std::to_string(i) + " HTTP/1.1\r\n" +
+        (i == 7 ? "Connection: close\r\n" : "") + "\r\n";
+  }
+  const std::string reply = raw_exchange(server.port(), chunks);
+  std::size_t pos = 0;
+  for (int i = 0; i < 8; ++i) {
+    const std::string body = "\r\n\r\n/r" + std::to_string(i);
+    const std::size_t at = reply.find(body, pos);
+    ASSERT_NE(at, std::string::npos) << "response " << i << " missing or out of order";
+    pos = at + body.size();
+  }
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_EQ(server.stats().requests_handled, 8u);
   server.stop();
+}
+
+/// A handler that blocks holds only its own thread: a request on another
+/// connection is served meanwhile by the other thread.
+TEST(HttpServer, BlockedHandlerDoesNotDelayOtherConnections) {
+  std::promise<void> entered;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  ServerConfig config;
+  config.threads = 2;
+  HttpServer server(config, [&](const HttpRequest& request) {
+    if (request.target == "/block") {
+      entered.set_value();
+      opened.wait();
+    }
+    return HttpResponse{};
+  });
+  ASSERT_TRUE(server.start().ok());
+
+  std::thread blocked([&] {
+    HttpClient client("127.0.0.1", server.port());
+    auto r = client.get("/block");
+    EXPECT_TRUE(r.ok() && r.value().status == 200);
+  });
+  entered.get_future().wait();
+
+  ClientConfig no_retry;
+  no_retry.retries = 0;
+  no_retry.io_timeout_ms = 2000;
+  HttpClient other("127.0.0.1", server.port(), no_retry);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto fast = other.get("/fast");
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  gate.set_value();  // only now may /block finish
+  blocked.join();
+  ASSERT_TRUE(fast.ok()) << fast.error().to_string();
+  EXPECT_EQ(fast.value().status, 200);
+  EXPECT_LT(waited, std::chrono::milliseconds(1000));
+  server.stop();
+}
+
+/// stop() during a handler lets that exchange finish: it returns only
+/// after the response is on the wire, and the response says
+/// Connection: close (then the server closes the connection).
+TEST(HttpServer, StopDuringAHandlerWritesItsResponseWithClose) {
+  std::promise<void> entered;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  ServerConfig config;
+  config.threads = 2;
+  HttpServer server(config, [&](const HttpRequest&) {
+    entered.set_value();
+    opened.wait();
+    HttpResponse response;
+    response.body = "finished";
+    return response;
+  });
+  ASSERT_TRUE(server.start().ok());
+
+  std::string reply;
+  std::thread peer([&] {
+    // A keep-alive request: only the stop can add Connection: close.
+    reply = raw_exchange(server.port(), "GET /slow HTTP/1.1\r\n\r\n");
+  });
+  entered.get_future().wait();
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    server.stop();
+    stopped = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(stopped.load()) << "stop() returned while a handler was running";
+  gate.set_value();
+  stopper.join();
+  peer.join();
+
+  EXPECT_NE(reply.find("HTTP/1.1 200"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("Connection: close"), std::string::npos) << reply;
+  ASSERT_GE(reply.size(), 8u);
+  EXPECT_EQ(reply.substr(reply.size() - 8), "finished");
+  EXPECT_FALSE(server.running());
 }
 
 TEST(HttpClient, RetriesWithBackoffThenReportsRefusal) {
@@ -595,14 +725,14 @@ TEST(HttpServer, Holds512IdleKeepAliveConnectionsWhileServingActiveClients) {
     idle_fds.push_back(fd);
   }
 
-  // The event thread accepts asynchronously; wait for the gauge to catch
-  // up before asserting anything about it.
+  // The serving threads accept asynchronously; wait for the gauge to
+  // catch up before asserting anything about it.
   for (int spin = 0; spin < 500 && server.stats().open_connections < kIdle; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(server.stats().open_connections, kIdle);
 
-  // Active clients must still get every answer, promptly, from 4 workers.
+  // Active clients must still get every answer, promptly, from 4 threads.
   constexpr int kActiveClients = 2;
   constexpr int kRequestsEach = 25;
   std::vector<std::thread> clients;
