@@ -83,17 +83,14 @@ BENCHMARK(BM_ServerRequestThroughput)
 /// crosses the wire. Mode 2 (304): clients revalidate with If-None-Match
 /// at the current version, so the server answers a bodyless 304 before
 /// routing, locking, or cache lookup — the cheapest possible read.
-/// Mode 3 (encoded): clients accept `pmlc`, so the 31 KB document body
-/// ships compressed (cached post-encoding; repeat hits skip the codec).
 /// 8 keep-alive clients cycling full-document GETs (the expensive
 /// cacheable route: re-serializes 256 element/relation triples per
-/// miss), stats GETs, and MATCH queries (never 304/encoded-eligible in
-/// modes 0-1; queries do revalidate in mode 2).
+/// miss), stats GETs, and MATCH queries (never 304-eligible in modes
+/// 0-1; queries do revalidate in mode 2).
 void BM_ServerReadThroughput(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(1));
   YProvHttpApp::Options options;
   options.cache_capacity = mode != 0 ? 256 : 0;
-  options.compress_min_bytes = mode == 3 ? 1024 : 0;
   YProvHttpApp app(options);
   (void)app.service().put_document("exp", seed_document(256));
   ServerConfig config;
@@ -113,9 +110,7 @@ void BM_ServerReadThroughput(benchmark::State& state) {
     clients.reserve(kClients);
     for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&server, &etag, mode, c] {
-        ClientConfig client_config;
-        client_config.accept_encoding = mode == 3;
-        HttpClient client("127.0.0.1", server.port(), client_config);
+        HttpClient client("127.0.0.1", server.port());
         std::vector<Header> conditional;
         if (mode == 2) conditional.push_back({"If-None-Match", etag});
         for (int i = 0; i < kRequestsPerClient; ++i) {
@@ -151,14 +146,12 @@ BENCHMARK(BM_ServerReadThroughput)
     ->Args({1, 0})
     ->Args({1, 1})
     ->Args({1, 2})
-    ->Args({1, 3})
     ->Args({2, 0})
     ->Args({2, 1})
     ->Args({2, 2})
     ->Args({4, 0})
     ->Args({4, 1})
     ->Args({4, 2})
-    ->Args({4, 3})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -20,7 +20,13 @@ void BM_TradeoffStudy(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 20);  // 20 grid cells
 }
-BENCHMARK(BM_TradeoffStudy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TradeoffStudy)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 /// Larger synthetic grid (both architectures, several seeds) to expose
 /// scheduling overheads at higher cell counts.
@@ -43,7 +49,7 @@ void BM_LargeSweep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(configs.size()));
 }
-BENCHMARK(BM_LargeSweep)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LargeSweep)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Raw thread-pool dispatch overhead per task.
 void BM_ThreadPoolDispatch(benchmark::State& state) {
@@ -54,7 +60,7 @@ void BM_ThreadPoolDispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(4);
+BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(4)->UseRealTime();
 
 }  // namespace
 

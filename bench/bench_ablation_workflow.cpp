@@ -67,7 +67,12 @@ void BM_FanOutWorkers(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 8);
 }
-BENCHMARK(BM_FanOutWorkers)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FanOutWorkers)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ProvenanceCaptureShare(benchmark::State& state) {
   // The chain again, but isolating run_workflow's provenance document cost

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <random>
 
+#include "provml/common/file_io.hpp"
 #include "provml/common/strings.hpp"
 #include "provml/compress/container.hpp"
 #include "provml/storage/json_store.hpp"
@@ -72,7 +73,7 @@ storage::MetricSet make_run_metrics(std::size_t steps) {
 std::uint64_t compressed_size(const std::string& path) {
   std::uint64_t total = 0;
   auto pack_one = [&total](const std::string& file) {
-    const auto data = compress::read_file_bytes(file);
+    const auto data = io::read_file(file);
     if (!data.ok()) return;
     const auto packed = compress::pack(data.value(), "lzss");
     constexpr std::uint64_t kStoredFrame = 18;  // gzip header+trailer equivalent

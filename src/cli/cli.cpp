@@ -2,12 +2,14 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 
+#include "provml/common/file_io.hpp"
 #include "provml/common/strings.hpp"
 #include "provml/compress/container.hpp"
 #include "provml/analysis/forecast.hpp"
@@ -84,7 +86,7 @@ const std::map<std::string, std::set<std::string>>& known_options() {
       {"get", {"element"}},
       {"query", {"url", "explain", "page-size"}},
       {"serve",
-       {"port", "threads", "data-dir", "snapshot", "cache", "max-connections", "fsync",
+       {"port", "threads", "data-dir", "cache", "max-connections", "fsync",
         "wal-segment-bytes"}},
       {"fit", {}},
       {"predict", {"k"}},
@@ -137,9 +139,7 @@ int cmd_convert(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   }
   const auto out_path = args.options.find("out");
   if (out_path != args.options.end()) {
-    Status s = compress::write_file_bytes(
-        out_path->second,
-        {reinterpret_cast<const std::uint8_t*>(rendered.data()), rendered.size()});
+    Status s = io::write_text_atomic(out_path->second, rendered);
     if (!s.ok()) return fail(err, s.error().to_string());
     out << "wrote " << out_path->second << "\n";
   } else {
@@ -251,7 +251,7 @@ int cmd_unpack(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (args.positional.size() != 2) return fail(err, "unpack takes input and output paths");
   auto data = compress::unpack_file(args.positional[0]);
   if (!data.ok()) return fail(err, data.error().to_string());
-  Status s = compress::write_file_bytes(args.positional[1], data.value());
+  Status s = io::write_file_atomic(args.positional[1], data.value());
   if (!s.ok()) return fail(err, s.error().to_string());
   out << "unpacked " << args.positional[0] << " -> " << args.positional[1] << "\n";
   return 0;
@@ -353,45 +353,28 @@ int cmd_query(const ParsedArgs& args, bool explain, std::size_t page_size,
     print_plan(graphstore::explain_query(service.value().graph(), query.value()), out);
     return 0;
   }
-  if (page_size > 0) {
-    // Streamed: rows print as each page is pulled, so the first results
-    // appear after O(page) work even on huge matches.
-    auto cursor =
-        graphstore::QueryCursor::open(service.value().graph(), args.positional[1]);
-    if (!cursor.ok()) return fail(err, cursor.error().to_string());
-    const std::vector<graphstore::ResultSet::Column>& columns =
-        cursor.value().columns();
-    std::size_t total = 0;
-    while (!cursor.value().done()) {
-      for (const std::vector<json::Value>& row : cursor.value().next(page_size)) {
-        bool first = true;
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-          if (!first) out << "  ";
-          first = false;
-          out << columns[c].name << "="
-              << render_cell(service.value().graph(), columns[c], row[c]);
-        }
-        out << "\n";
-        ++total;
+  // With --page-size, rows print as each page is pulled, so the first
+  // results appear after O(page) work even on huge matches; without it,
+  // one page holds the whole result.
+  auto cursor = graphstore::QueryCursor::open(service.value().graph(), args.positional[1]);
+  if (!cursor.ok()) return fail(err, cursor.error().to_string());
+  const std::vector<graphstore::ResultSet::Column>& columns = cursor.value().columns();
+  const std::size_t page = page_size > 0 ? page_size : SIZE_MAX;
+  std::size_t total = 0;
+  while (!cursor.value().done()) {
+    for (const std::vector<json::Value>& row : cursor.value().next(page)) {
+      bool first = true;
+      for (std::size_t c = 0; c < columns.size(); ++c) {
+        if (!first) out << "  ";
+        first = false;
+        out << columns[c].name << "="
+            << render_cell(service.value().graph(), columns[c], row[c]);
       }
+      out << "\n";
+      ++total;
     }
-    out << total << " row(s)\n";
-    return 0;
   }
-  auto table = graphstore::execute_query(service.value().graph(), args.positional[1]);
-  if (!table.ok()) return fail(err, table.error().to_string());
-  for (const std::vector<json::Value>& row : table.value().rows) {
-    bool first = true;
-    for (std::size_t c = 0; c < table.value().columns.size(); ++c) {
-      if (!first) out << "  ";
-      first = false;
-      const graphstore::ResultSet::Column& column = table.value().columns[c];
-      out << column.name << "="
-          << render_cell(service.value().graph(), column, row[c]);
-    }
-    out << "\n";
-  }
-  out << table.value().rows.size() << " row(s)\n";
+  out << total << " row(s)\n";
   return 0;
 }
 
@@ -662,18 +645,11 @@ int cmd_serve(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     app_options.cache_capacity = static_cast<std::size_t>(*value);
   }
 
-  // Durability options. --snapshot used to mean "load at start, save on
-  // clean shutdown" — which silently lost every write on a crash. It is
-  // now an alias for --data-dir, so both spellings get the WAL: every
-  // acknowledged PUT/DELETE is on disk before the response leaves.
+  // Durability options: --data-dir puts the WAL under the service, so
+  // every acknowledged PUT/DELETE is on disk before the response leaves.
   std::string data_dir;
   const auto data_dir_opt = args.options.find("data-dir");
-  const auto snapshot = args.options.find("snapshot");
-  if (data_dir_opt != args.options.end()) {
-    data_dir = data_dir_opt->second;
-  } else if (snapshot != args.options.end()) {
-    data_dir = snapshot->second;
-  }
+  if (data_dir_opt != args.options.end()) data_dir = data_dir_opt->second;
   wal::Options wal_options;
   const auto fsync_mode = args.options.find("fsync");
   if (fsync_mode != args.options.end()) {
@@ -773,8 +749,7 @@ std::string usage() {
          "        [--max-connections N] [--fsync every_write|interval|none]\n"
          "        [--wal-segment-bytes N]\n"
          "                                      run the yProv HTTP service;\n"
-         "                                      --data-dir persists writes via a\n"
-         "                                      WAL (--snapshot is an alias)\n"
+         "                                      --data-dir persists writes via a WAL\n"
          "  fit <store>                         fit the scaling law to stored runs\n"
          "  predict <store> <output> k=v... [--k N]\n"
          "                                      k-NN forecast from stored runs\n"

@@ -13,7 +13,7 @@
 //   yprov get      <store-dir> <name> [--element <id>]
 //   yprov pack     <file> <out> [--codec lzss|rle|shuffle+lzss]
 //   yprov unpack   <file> <out>
-//   yprov serve    [--port N] [--threads K] [--snapshot DIR]
+//   yprov serve    [--port N] [--threads K] [--data-dir DIR]
 //
 // `ingest`, `query`, and `stats` also accept `--url http://host:port` to
 // talk to a running `yprov serve` instance over HTTP instead of a local

@@ -139,25 +139,17 @@ Expected<ContainerInfo> inspect(ByteView container) {
                        static_cast<std::size_t>(h.payload_size)};
 }
 
-Expected<Bytes> read_file_bytes(const std::string& path) {
-  return io::read_file(path);
-}
-
-Status write_file_bytes(const std::string& path, ByteView data) {
-  return io::write_file_atomic(path, data);
-}
-
 Status pack_file(const std::string& src_path, const std::string& dst_path,
                  const std::string& codec_name) {
-  Expected<Bytes> data = read_file_bytes(src_path);
+  Expected<Bytes> data = io::read_file(src_path);
   if (!data.ok()) return data.error();
   Expected<Bytes> packed = pack(data.value(), codec_name);
   if (!packed.ok()) return packed.error();
-  return write_file_bytes(dst_path, packed.value());
+  return io::write_file_atomic(dst_path, packed.value());
 }
 
 Expected<Bytes> unpack_file(const std::string& path) {
-  Expected<Bytes> data = read_file_bytes(path);
+  Expected<Bytes> data = io::read_file(path);
   if (!data.ok()) return data;
   return unpack(data.value());
 }

@@ -39,9 +39,4 @@ struct ContainerInfo {
                                const std::string& codec_name);
 [[nodiscard]] Expected<Bytes> unpack_file(const std::string& path);
 
-/// Reads a whole file into memory (shared helper for stores and the CLI).
-[[nodiscard]] Expected<Bytes> read_file_bytes(const std::string& path);
-/// Writes bytes to a file, truncating.
-[[nodiscard]] Status write_file_bytes(const std::string& path, ByteView data);
-
 }  // namespace provml::compress

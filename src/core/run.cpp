@@ -6,7 +6,7 @@
 #include <unistd.h>
 
 #include "provml/common/strings.hpp"
-#include "provml/compress/container.hpp"
+#include "provml/common/file_io.hpp"
 #include "provml/prov/dot.hpp"
 #include "provml/prov/prov_json.hpp"
 #include "provml/prov/prov_n.hpp"
@@ -420,15 +420,13 @@ Status Run::finish() {
     const std::string text = prov::to_prov_n(document_);
     std::string path =
         (fs::path(options_.provenance_dir) / (run_name_ + ".provn")).string();
-    s = compress::write_file_bytes(
-        path, {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+    s = io::write_text_atomic(path, text);
     if (!s.ok()) return s;
   }
   if (options_.write_dot) {
     const std::string text = prov::to_dot(document_);
     std::string path = (fs::path(options_.provenance_dir) / (run_name_ + ".dot")).string();
-    s = compress::write_file_bytes(
-        path, {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+    s = io::write_text_atomic(path, text);
     if (!s.ok()) return s;
   }
 

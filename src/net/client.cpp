@@ -14,7 +14,6 @@
 
 #include "provml/common/fault_inject.hpp"
 #include "provml/common/strings.hpp"
-#include "provml/compress/container.hpp"
 #include "provml/json/parse.hpp"
 #include "provml/json/write.hpp"
 
@@ -235,31 +234,6 @@ Expected<HttpResponse> HttpClient::exchange(int fd, const std::string& wire) {
       } else {
         response.close = version == "HTTP/1.0";
       }
-      // Transparent content decoding: a `pmlc` body is a provml_compress
-      // container; hand the caller the decoded payload. Other encodings
-      // are passed through untouched (we never advertise them).
-      const std::string* encoding = response.header("Content-Encoding");
-      if (encoding != nullptr && iequals(*encoding, kContentEncodingPmlc)) {
-        const compress::ByteView packed(
-            reinterpret_cast<const std::uint8_t*>(response.body.data()),
-            response.body.size());
-        // The size guard applies to the *decoded* payload too: the
-        // container header declares it, so check before allocating.
-        const auto info = compress::inspect(packed);
-        if (!info.ok()) {
-          return Error{"malformed pmlc response body", host_};
-        }
-        if (info.value().raw_size > config_.limits.max_body_bytes) {
-          return Error{"response body too large after decoding", host_};
-        }
-        const auto decoded = compress::unpack(packed);
-        if (!decoded.ok()) {
-          return Error{"undecodable pmlc response body: " +
-                           decoded.error().to_string(),
-                       host_};
-        }
-        response.body.assign(decoded.value().begin(), decoded.value().end());
-      }
       return response;
     }
   }
@@ -274,9 +248,6 @@ Expected<HttpResponse> HttpClient::request(const std::string& method,
   req.target = target;
   req.body = body;
   req.headers = std::move(headers);
-  if (config_.accept_encoding && req.header("Accept-Encoding") == nullptr) {
-    req.headers.push_back({"Accept-Encoding", kContentEncodingPmlc});
-  }
   const std::string wire =
       serialize(req, host_ + ":" + std::to_string(port_), /*keep_alive=*/true);
 

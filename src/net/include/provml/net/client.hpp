@@ -5,10 +5,6 @@
 // transparent reconnect when a pooled connection has gone stale. The
 // connection is NOT reused when the server said `Connection: close` (or
 // answered HTTP/1.0 without keep-alive) — the server's verdict wins.
-// Content negotiation: every request advertises `Accept-Encoding: pmlc`
-// (the provml_compress container format) unless disabled, and a
-// `Content-Encoding: pmlc` response body is decoded transparently before
-// it is returned to the caller.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +18,11 @@
 
 namespace provml::net {
 
-/// The Content-Encoding token both ends of provml_net speak: a
-/// provml_compress self-describing container (magic "PMLC") carrying the
-/// codec name with the payload.
-inline constexpr const char* kContentEncodingPmlc = "pmlc";
-
 struct ClientConfig {
   int connect_timeout_ms = 2000;
   int io_timeout_ms = 5000;     ///< per poll() while sending/receiving
   int retries = 3;              ///< extra connect attempts on refusal
   int retry_backoff_ms = 50;    ///< initial backoff, doubled per attempt
-  bool accept_encoding = true;  ///< advertise + decode `pmlc` bodies
   ParserLimits limits{};        ///< response size guards
 };
 

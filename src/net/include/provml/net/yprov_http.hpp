@@ -2,7 +2,7 @@
 // HttpRequest → graphstore::Request, keeps request/latency counters split
 // by read/write class, and layers a small LRU response cache over the
 // service's reader/writer locking. Cache entries are keyed on
-// (graph_version, path, body, encoded) — GETs and MATCH-query POSTs are
+// (graph_version, path, body) — GETs and MATCH-query POSTs are
 // both pure reads: every successful write bumps the version, so a hit can
 // never serve state older than the latest completed write — no explicit
 // invalidation needed, stale keys simply age out of the LRU.
@@ -12,15 +12,12 @@
 // `If-None-Match` names the *current* version short-circuits to a bodyless
 // 304 before routing, locking, or cache lookup — the graph cannot have
 // changed since the tag was minted, so whatever the client holds is still
-// exact. Large GET bodies are additionally negotiated down with
-// `Content-Encoding: pmlc` (the provml_compress container) when the peer
-// sent `Accept-Encoding: pmlc` and the body clears a size threshold; the
-// encoded representation is cached under its own key so repeat hits skip
-// re-compression.
+// exact. Every response body is the bytes the route produced, so each
+// key holds exactly one representation.
 //
 // Adds the one route the in-process facade never needed:
-// GET /api/v0/health, reporting liveness, traffic, cache, conditional-GET
-// and encoding savings, version, event-loop gauges (when a server stats
+// GET /api/v0/health, reporting liveness, traffic, cache and
+// conditional-GET counters, version, event-loop gauges (when a server stats
 // provider is attached), and — when the service has a WAL attached —
 // durability stats (LSN, segment count, compaction age, fsync latency).
 // 405 responses from the routed service carry a real Allow: header
@@ -49,9 +46,8 @@ class YProvHttpApp {
     /// Maximum cached read responses (GETs + query POSTs); 0 disables
     /// the cache entirely.
     std::size_t cache_capacity = 256;
-    /// Minimum body size before a GET response is offered with
-    /// `Content-Encoding: pmlc`; 0 disables encoding entirely. Bodies
-    /// that grow under the codec are sent plain regardless.
+    /// Ignored: responses are never content-encoded. Kept only so that
+    /// existing callers that still set it compile.
     std::size_t compress_min_bytes = 1024;
   };
 
@@ -91,8 +87,6 @@ class YProvHttpApp {
     std::uint64_t read_latency_us = 0;
     std::uint64_t write_latency_us = 0;
     std::uint64_t responses_304 = 0;      ///< If-None-Match short-circuits
-    std::uint64_t responses_encoded = 0;  ///< bodies sent Content-Encoded
-    std::uint64_t bytes_saved_encoding = 0;  ///< plain − encoded, summed
   };
   [[nodiscard]] Counters counters() const;
 
@@ -101,25 +95,21 @@ class YProvHttpApp {
     std::uint64_t version = 0;
     std::string path;
     std::string body;  ///< empty for GETs; the MATCH text for query POSTs
-    bool encoded = false;  ///< the pmlc representation is a distinct entry
     bool operator==(const CacheKey& other) const {
-      return version == other.version && encoded == other.encoded &&
-             path == other.path && body == other.body;
+      return version == other.version && path == other.path && body == other.body;
     }
   };
   struct CacheKeyHash {
     std::size_t operator()(const CacheKey& k) const {
       const std::size_t h = std::hash<std::string>{}(k.path) ^
                             (std::hash<std::string>{}(k.body) << 1);
-      return h ^ ((k.version * 2 + (k.encoded ? 1 : 0)) * 0x9e3779b97f4a7c15ULL);
+      return h ^ (k.version * 0x9e3779b97f4a7c15ULL);
     }
   };
   struct CacheEntry {
     CacheKey key;
     int status = 0;
     std::string body;
-    std::string content_encoding;  ///< "" = identity, else "pmlc"
-    std::size_t raw_size = 0;      ///< pre-encoding body size
   };
 
   [[nodiscard]] bool cache_lookup(const CacheKey& key, CacheEntry& out);
@@ -148,8 +138,6 @@ class YProvHttpApp {
   std::atomic<std::uint64_t> read_latency_us_{0};
   std::atomic<std::uint64_t> write_latency_us_{0};
   std::atomic<std::uint64_t> responses_304_{0};
-  std::atomic<std::uint64_t> responses_encoded_{0};
-  std::atomic<std::uint64_t> bytes_saved_encoding_{0};
 };
 
 }  // namespace provml::net

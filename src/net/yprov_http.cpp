@@ -1,9 +1,7 @@
 #include "provml/net/yprov_http.hpp"
 
 #include "provml/common/strings.hpp"
-#include "provml/compress/container.hpp"
 #include "provml/json/write.hpp"
-#include "provml/net/client.hpp"
 
 namespace provml::net {
 namespace {
@@ -41,27 +39,6 @@ bool if_none_match_hits(std::string_view header, std::uint64_t version) {
   return false;
 }
 
-/// True when the Accept-Encoding list contains the pmlc token (with or
-/// without a quality value; `q=0` rejections are rare enough to ignore —
-/// a peer that sends them simply gets the identity body).
-bool accepts_pmlc(const std::string* header) {
-  if (header == nullptr) return false;
-  std::size_t pos = 0;
-  const std::string_view list = *header;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    std::string_view item = strings::trim(
-        list.substr(pos, comma == std::string_view::npos ? list.size() - pos
-                                                         : comma - pos));
-    const std::size_t semi = item.find(';');
-    if (semi != std::string_view::npos) item = strings::trim(item.substr(0, semi));
-    if (iequals(item, kContentEncodingPmlc)) return true;
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
-  }
-  return false;
-}
-
 }  // namespace
 
 YProvHttpApp::Counters YProvHttpApp::counters() const {
@@ -78,8 +55,6 @@ YProvHttpApp::Counters YProvHttpApp::counters() const {
   c.read_latency_us = read_latency_us_.load();
   c.write_latency_us = write_latency_us_.load();
   c.responses_304 = responses_304_.load();
-  c.responses_encoded = responses_encoded_.load();
-  c.bytes_saved_encoding = bytes_saved_encoding_.load();
   return c;
 }
 
@@ -133,11 +108,8 @@ HttpResponse YProvHttpApp::health_response(const HttpRequest& request) {
   body.set("responses_5xx", c.status_5xx);
   body.set("cache_hits", c.cache_hits);
   body.set("cache_misses", c.cache_misses);
-  // Client-cooperative caching: conditional GETs answered bodylessly and
-  // bytes the content encoding kept off the wire.
+  // Client-cooperative caching: conditional GETs answered bodylessly.
   body.set("responses_304", c.responses_304);
-  body.set("responses_encoded", c.responses_encoded);
-  body.set("bytes_saved_encoding", c.bytes_saved_encoding);
   const auto mean_ms = [](std::uint64_t total_us, std::uint64_t n) {
     return n == 0 ? 0.0 : static_cast<double>(total_us) / (1000.0 * static_cast<double>(n));
   };
@@ -225,16 +197,10 @@ HttpResponse YProvHttpApp::handle(const HttpRequest& request) {
     }
 
     const bool cacheable = read_route && options_.cache_capacity > 0;
-    // Encoding is offered only for GET bodies (query POST results are
-    // usually small projections) and costs a distinct cache entry.
-    const bool wants_encoding = options_.compress_min_bytes > 0 &&
-                                request.method == "GET" &&
-                                accepts_pmlc(request.header("Accept-Encoding"));
     CacheKey key;
     CacheEntry entry;
     if (!not_modified && cacheable) {
-      key = CacheKey{version, path, is_query ? request.body : std::string(),
-                     wants_encoding};
+      key = CacheKey{version, path, is_query ? request.body : std::string()};
       cache_hit = cache_lookup(key, entry);
       if (cache_hit) {
         ++cache_hits_;
@@ -256,25 +222,9 @@ HttpResponse YProvHttpApp::handle(const HttpRequest& request) {
       if (routed.status == 405 && !routed.allow.empty()) {
         response.headers.push_back({"Allow", routed.allow});
       }
-      entry.status = response.status;
-      entry.raw_size = response.body.size();
-      if (wants_encoding && response.status == 200 &&
-          response.body.size() >= options_.compress_min_bytes) {
-        const auto packed = compress::pack(
-            compress::ByteView(
-                reinterpret_cast<const std::uint8_t*>(response.body.data()),
-                response.body.size()),
-            "lzss");
-        // Only swap in the encoded form when it actually saves bytes;
-        // otherwise the identity body goes out (still a valid answer to
-        // Accept-Encoding: pmlc).
-        if (packed.ok() && packed.value().size() < response.body.size()) {
-          response.body.assign(packed.value().begin(), packed.value().end());
-          entry.content_encoding = kContentEncodingPmlc;
-        }
-      }
-      entry.body = response.body;
       if (cacheable && response.status == 200 && !no_store) {
+        entry.status = response.status;
+        entry.body = response.body;
         cache_store(std::move(key), entry);
       }
     }
@@ -282,12 +232,6 @@ HttpResponse YProvHttpApp::handle(const HttpRequest& request) {
       // Every cacheable 200 carries the tag that minted it; the cache key
       // pins `version`, so a hit's tag is identical by construction.
       response.headers.push_back({"ETag", etag_for(version)});
-      if (!entry.content_encoding.empty()) {
-        response.headers.push_back({"Content-Encoding", entry.content_encoding});
-        response.headers.push_back({"Vary", "Accept-Encoding"});
-        ++responses_encoded_;
-        bytes_saved_encoding_ += entry.raw_size - response.body.size();
-      }
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "provml/common/file_io.hpp"
 #include "provml/compress/container.hpp"
 #include "provml/compress/varint.hpp"
 
@@ -94,7 +95,7 @@ Status encode_netcdf(const MetricSet& metrics,
     if (!packed.ok()) return packed.error();
     append_block(out, packed.value());
   }
-  return compress::write_file_bytes(path, out);
+  return io::write_file_atomic(path, out);
 }
 
 }  // namespace
@@ -111,7 +112,7 @@ Expected<std::unique_ptr<MetricSink>> NetcdfMetricStore::open_sink(
 }
 
 Expected<MetricSet> NetcdfMetricStore::read(const std::string& path) const {
-  Expected<Bytes> file = compress::read_file_bytes(path);
+  Expected<Bytes> file = io::read_file(path);
   if (!file.ok()) return file.error();
   const Bytes& data = file.value();
   if (data.size() < 4 || std::memcmp(data.data(), kMagic, 4) != 0) {
@@ -182,7 +183,7 @@ Expected<MetricSet> NetcdfMetricStore::read(const std::string& path) const {
 
 Expected<std::vector<std::pair<std::string, std::string>>> NetcdfMetricStore::read_attributes(
     const std::string& path) {
-  Expected<Bytes> file = compress::read_file_bytes(path);
+  Expected<Bytes> file = io::read_file(path);
   if (!file.ok()) return file.error();
   const Bytes& data = file.value();
   if (data.size() < 4 || std::memcmp(data.data(), kMagic, 4) != 0) {

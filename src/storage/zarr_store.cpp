@@ -9,6 +9,7 @@
 #include <span>
 #include <utility>
 
+#include "provml/common/file_io.hpp"
 #include "provml/common/thread_pool.hpp"
 #include "provml/compress/container.hpp"
 #include "provml/compress/varint.hpp"
@@ -269,7 +270,7 @@ class ZarrMetricSink final : public MetricSink {
       pending_.pop_front();
       Expected<Bytes> packed = w.encoded.get();
       if (!packed.ok()) return packed.error();
-      Status st = compress::write_file_bytes(w.path, packed.value());
+      Status st = io::write_file_atomic(w.path, packed.value());
       if (!st.ok()) return st;
       if (w.completes_chunk && w.covers > series_[w.series].durable) {
         series_[w.series].durable = w.covers;
@@ -406,7 +407,7 @@ Status read_entry(const std::string& path, const json::Value& entry,
         achieved = begin;  // missing tail chunk: the declared shape is stale
         break;
       }
-      Expected<Bytes> packed = compress::read_file_bytes(chunk_path.string());
+      Expected<Bytes> packed = io::read_file(chunk_path.string());
       if (!packed.ok()) return packed.error();
       Expected<Bytes> raw = compress::unpack(packed.value());
       if (!raw.ok()) return raw.error();

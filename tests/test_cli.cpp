@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 
 #include "provml/cli/cli.hpp"
-#include "provml/compress/container.hpp"
+#include "provml/common/file_io.hpp"
 #include <cmath>
 
 #include "provml/core/run.hpp"
@@ -173,8 +174,7 @@ TEST_F(CliTest, PackUnpackRoundTrip) {
 
   auto [code2, out2, err2] = run({"unpack", packed, restored});
   EXPECT_EQ(code2, 0) << err2;
-  EXPECT_EQ(compress::read_file_bytes(restored).take(),
-            compress::read_file_bytes(doc).take());
+  EXPECT_EQ(io::read_file(restored).take(), io::read_file(doc).take());
 
   auto [code3, out3, err3] = run({"pack", doc, packed, "--codec", "nope"});
   EXPECT_EQ(code3, 1);
@@ -225,6 +225,16 @@ TEST_F(CliTest, QueryCommand) {
 
   auto [code2, out2, err2] = run({"query", store, "MATCH bogus"});
   EXPECT_EQ(code2, 1);
+
+  // A multi-row result prints the same whether it is pulled one row per
+  // page or in one go.
+  const std::string many = "MATCH (e:Entity) RETURN e";
+  auto [code3, one_shot, err3] = run({"query", store, many});
+  EXPECT_EQ(code3, 0) << err3;
+  EXPECT_GT(std::count(one_shot.begin(), one_shot.end(), '\n'), 2) << one_shot;
+  auto [code4, paged, err4] = run({"query", store, many, "--page-size", "1"});
+  EXPECT_EQ(code4, 0) << err4;
+  EXPECT_EQ(paged, one_shot);
 }
 
 TEST_F(CliTest, FitPredictReportWorkflow) {
@@ -344,6 +354,7 @@ TEST_F(CliTest, ArgumentErrors) {
        std::vector<std::pair<std::vector<std::string>, std::string>>{
            {{"lineage", doc, "ex:artifact/ckpt", "--dpeth", "1"}, "--dpeth"},
            {{"serve", "--shards", "4"}, "--shards"},
+           {{"serve", "--snapshot", (dir_ / "snap").string()}, "--snapshot"},
            {{"pack", doc, (dir_ / "packed").string(), "--codex", "lzss"}, "--codex"},
            {{"query", store, "MATCH (e:Entity) RETURN e", "--page-sise", "2"}, "--page-sise"},
            {{"lineage", doc, "ex:artifact/ckpt", "--explain"}, "--explain"},

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <random>
 
+#include "provml/common/file_io.hpp"
 #include "provml/compress/codec.hpp"
 #include "provml/compress/container.hpp"
 #include "provml/compress/crc32.hpp"
@@ -313,7 +314,7 @@ TEST(Container, FileRoundTrip) {
   const std::string src = (dir / "src.bin").string();
   const std::string dst = (dir / "dst.pmlc").string();
   Bytes payload(4096, 'r');
-  ASSERT_TRUE(write_file_bytes(src, payload).ok());
+  ASSERT_TRUE(io::write_file_atomic(src, payload).ok());
   ASSERT_TRUE(pack_file(src, dst, "lzss").ok());
   EXPECT_LT(fs::file_size(dst), payload.size() / 4);
   Expected<Bytes> back = unpack_file(dst);

@@ -4,8 +4,7 @@
 #include <filesystem>
 #include <random>
 
-#include "provml/compress/container.hpp"
-#include "provml/storage/aggregate.hpp"
+#include "provml/common/file_io.hpp"
 #include "provml/storage/json_store.hpp"
 #include "provml/storage/netcdf_store.hpp"
 #include "provml/storage/series.hpp"
@@ -237,9 +236,9 @@ TEST_F(StorageTest, ZarrCorruptChunkDetected) {
   ASSERT_TRUE(store.write(set, p).ok());
   // Flip a byte in a value chunk: CRC in the container must catch it.
   const fs::path chunk = fs::path(p) / "s0_TRAINING_loss" / "value" / "0";
-  auto data = ::provml::compress::read_file_bytes(chunk.string()).take();
+  auto data = ::provml::io::read_file(chunk.string()).take();
   data[data.size() / 2] ^= 0xFF;
-  ASSERT_TRUE(::provml::compress::write_file_bytes(chunk.string(), data).ok());
+  ASSERT_TRUE(::provml::io::write_file_atomic(chunk.string(), data).ok());
   EXPECT_FALSE(store.read(p).ok());
 }
 
@@ -262,9 +261,9 @@ TEST_F(StorageTest, NetcdfRejectsTruncatedFile) {
   NetcdfMetricStore store;
   const std::string p = path("trunc.nc");
   ASSERT_TRUE(store.write(sample_metrics(100), p).ok());
-  auto data = ::provml::compress::read_file_bytes(p).take();
+  auto data = ::provml::io::read_file(p).take();
   data.resize(data.size() / 2);
-  ASSERT_TRUE(::provml::compress::write_file_bytes(p, data).ok());
+  ASSERT_TRUE(::provml::io::write_file_atomic(p, data).ok());
   EXPECT_FALSE(store.read(p).ok());
 }
 
@@ -272,9 +271,9 @@ TEST_F(StorageTest, NetcdfRejectsTrailingGarbage) {
   NetcdfMetricStore store;
   const std::string p = path("extra.nc");
   ASSERT_TRUE(store.write(sample_metrics(10), p).ok());
-  auto data = ::provml::compress::read_file_bytes(p).take();
+  auto data = ::provml::io::read_file(p).take();
   data.push_back(0x42);
-  ASSERT_TRUE(::provml::compress::write_file_bytes(p, data).ok());
+  ASSERT_TRUE(::provml::io::write_file_atomic(p, data).ok());
   EXPECT_FALSE(store.read(p).ok());
 }
 
@@ -324,116 +323,6 @@ TEST_F(StorageTest, ZarrPartialReadTouchesOneSeries) {
   fs::remove_all(fs::path(p) / "s0_TRAINING_loss");
   EXPECT_TRUE(store.read_series(p, "gpu_energy", "TRAINING").ok());
   EXPECT_FALSE(store.read(p).ok());  // the full read does need it
-}
-
-// --------------------------------------------------------------- aggregate
-
-TEST(Aggregate, SummaryStatistics) {
-  MetricSeries s{"loss", "TRAINING", "", {}};
-  s.append(0, 1000, 4.0);
-  s.append(1, 2000, 2.0);
-  s.append(2, 4000, 6.0);
-  const SeriesSummary sum = summarize(s);
-  EXPECT_EQ(sum.count, 3u);
-  EXPECT_DOUBLE_EQ(sum.min, 2.0);
-  EXPECT_DOUBLE_EQ(sum.max, 6.0);
-  EXPECT_DOUBLE_EQ(sum.mean, 4.0);
-  EXPECT_NEAR(sum.stddev, std::sqrt(8.0 / 3.0), 1e-12);
-  EXPECT_DOUBLE_EQ(sum.first, 4.0);
-  EXPECT_DOUBLE_EQ(sum.last, 6.0);
-  EXPECT_EQ(sum.first_step, 0);
-  EXPECT_EQ(sum.last_step, 2);
-  EXPECT_EQ(sum.duration_ms, 3000);
-}
-
-TEST(Aggregate, EmptySeriesSummary) {
-  MetricSeries s{"x", "C", "", {}};
-  const SeriesSummary sum = summarize(s);
-  EXPECT_EQ(sum.count, 0u);
-  EXPECT_DOUBLE_EQ(sum.mean, 0.0);
-}
-
-TEST(Aggregate, DownsamplePreservesMeanAndBudget) {
-  MetricSeries s{"m", "C", "", {}};
-  for (int i = 0; i < 1000; ++i) s.append(i, i * 10, static_cast<double>(i));
-  const MetricSeries small = downsample(s, 10);
-  EXPECT_EQ(small.samples.size(), 10u);
-  EXPECT_EQ(small.name, "m");
-  // Bucket means of a linear ramp average to the global mean.
-  EXPECT_NEAR(summarize(small).mean, summarize(s).mean, 1.0);
-  // Steps stay monotonically increasing.
-  for (std::size_t i = 1; i < small.samples.size(); ++i) {
-    EXPECT_GT(small.samples[i].step, small.samples[i - 1].step);
-  }
-}
-
-TEST(Aggregate, DownsampleNoOpWhenUnderBudget) {
-  MetricSeries s{"m", "C", "", {}};
-  s.append(0, 0, 1.0);
-  s.append(1, 1, 2.0);
-  EXPECT_EQ(downsample(s, 10), s);
-  EXPECT_EQ(downsample(s, 0), s);  // 0 budget = disabled
-}
-
-TEST(Aggregate, TrendDetectsSlope) {
-  MetricSeries falling{"loss", "C", "", {}};
-  MetricSeries flat{"flat", "C", "", {}};
-  for (int i = 0; i < 100; ++i) {
-    falling.append(i, i, 10.0 - 0.1 * i);
-    flat.append(i, i, 3.0);
-  }
-  EXPECT_NEAR(trend_per_step(falling), -0.1, 1e-9);
-  EXPECT_NEAR(trend_per_step(flat), 0.0, 1e-12);
-  MetricSeries single{"s", "C", "", {}};
-  single.append(0, 0, 1.0);
-  EXPECT_DOUBLE_EQ(trend_per_step(single), 0.0);
-}
-
-TEST(Aggregate, IntegrateOverTimeIsEnergy) {
-  // Constant 100 W power over 10 s (timestamps in ms) = 1000 J.
-  MetricSeries power{"power", "SYSTEM", "W", {}};
-  power.append(0, 0, 100.0);
-  power.append(1, 10000, 100.0);
-  EXPECT_DOUBLE_EQ(integrate_over_time(power), 1000.0);
-  MetricSeries empty{"p", "C", "", {}};
-  EXPECT_DOUBLE_EQ(integrate_over_time(empty), 0.0);
-}
-
-
-TEST(Aggregate, CsvExport) {
-  MetricSet set;
-  MetricSeries& s1 = set.series("loss", "TRAINING");
-  s1.append(0, 100, 0.5);
-  s1.append(1, 200, 0.25);
-  MetricSeries& s2 = set.series("name,with\"tricky", "VALIDATION", "J");
-  s2.append(7, 700, 1e-9);
-  const std::string csv = to_csv(set);
-  const auto lines = [&] {
-    std::vector<std::string> out;
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i <= csv.size(); ++i) {
-      if (i == csv.size() || csv[i] == '\n') {
-        out.push_back(csv.substr(begin, i - begin));
-        begin = i + 1;
-      }
-    }
-    if (!out.empty() && out.back().empty()) out.pop_back();
-    return out;
-  }();
-  ASSERT_EQ(lines.size(), 4u);  // header + 3 samples
-  EXPECT_EQ(lines[0], "series,context,unit,step,timestamp_ms,value");
-  EXPECT_EQ(lines[1], "loss,TRAINING,,0,100,0.5");
-  // Tricky names are RFC-4180 quoted.
-  EXPECT_NE(lines[3].find("\"name,with\"\"tricky\""), std::string::npos);
-}
-
-TEST_F(StorageTest, CsvWriteToFile) {
-  MetricSet set;
-  set.series("m", "C").append(0, 0, 1.5);
-  const std::string p = path("metrics.csv");
-  ASSERT_TRUE(write_csv(set, p).ok());
-  EXPECT_GT(fs::file_size(p), 20u);
-  EXPECT_FALSE(write_csv(set, "/nonexistent/dir/x.csv").ok());
 }
 
 // -------------------------------------------------------- property: stores
