@@ -1,14 +1,7 @@
-// Ablation — the streaming write path. Two questions the MetricSink
-// refactor must answer with numbers:
-//
-//  1. Run-level: does streaming (log_metric → flusher → durable sink)
-//     cut finish() latency and peak RSS versus buffering every sample
-//     and serializing at finish()? Each configuration runs in a forked
-//     child so VmHWM measures that configuration's true process peak.
-//
-//  2. Sink-level: does encoding chunk payloads on a worker pool beat
-//     single-threaded encoding on a batch-sized series (>= 100k
-//     samples), and how does it scale at 1/2/4/8 workers?
+// Ablation — the streaming write path. Does streaming (log_metric →
+// flusher → zarr sink) cut finish() latency and peak RSS versus buffering
+// every sample and serializing at finish()? Each configuration runs in a
+// forked child so VmHWM measures that configuration's true process peak.
 //
 // Output is a plain table (like the figure benches); EXPERIMENTS.md
 // records a reference run.
@@ -18,16 +11,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <random>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "provml/common/thread_pool.hpp"
 #include "provml/core/run.hpp"
-#include "provml/storage/zarr_store.hpp"
 
 namespace {
 
@@ -114,36 +102,6 @@ RunResult forked_run(provml::core::MetricSyncMode mode, std::size_t samples,
   return r;
 }
 
-/// One synthetic series for the sink-level encode scaling measurement.
-std::vector<provml::storage::MetricSample> make_samples(std::size_t count) {
-  std::vector<provml::storage::MetricSample> out;
-  out.reserve(count);
-  std::mt19937_64 rng(13);
-  std::normal_distribution<double> noise(0.0, 0.05);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back({static_cast<std::int64_t>(i),
-                   1700000000000 + static_cast<std::int64_t>(i) * 250,
-                   std::sin(static_cast<double>(i) * 1e-4) + noise(rng)});
-  }
-  return out;
-}
-
-double time_sink_write(const provml::storage::ZarrMetricStore& store,
-                       const std::vector<provml::storage::MetricSample>& samples,
-                       const provml::storage::SinkOptions& options,
-                       const std::string& path) {
-  const auto t0 = Clock::now();
-  auto sink = store.open_sink(path, options);
-  if (!sink.ok()) return -1;
-  auto id = sink.value()->declare_series("loss", "TRAINING", "");
-  if (!id.ok()) return -1;
-  if (!sink.value()->append_block(id.value(), samples.data(), samples.size()).ok()) {
-    return -1;
-  }
-  if (!sink.value()->seal().ok()) return -1;
-  return ms_since(t0);
-}
-
 }  // namespace
 
 int main() {
@@ -153,7 +111,6 @@ int main() {
 
   std::printf("Streaming write-path ablation (zarr store, chunk 4096)\n\n");
 
-  // -- run-level: batch vs streaming, forked per configuration -------------
   std::printf("%-10s %-8s %12s %12s %12s\n", "samples", "mode", "log ms", "finish ms",
               "peak RSS MB");
   for (const std::size_t per_series : {100000ul, 500000ul}) {
@@ -167,39 +124,6 @@ int main() {
                   stream ? "stream" : "batch", r.log_ms, r.finish_ms,
                   static_cast<double>(r.peak_kb) / 1024.0);
     }
-  }
-
-  // -- sink-level: parallel chunk encoding ---------------------------------
-  // Forked section first, pools after: fork from a still-single-threaded
-  // process, then spin up worker pools safely. "inline" encodes on the
-  // caller thread between file writes — the true single-threaded baseline.
-  // Pooled rows overlap encoding with the caller's fsync waits (a win even
-  // on one core) and, on multi-core hosts, with each other.
-  const auto samples = make_samples(400000);
-  provml::storage::ZarrMetricStore store;
-  std::printf("\n(host: %u hardware threads)\n", std::thread::hardware_concurrency());
-  std::printf("%-10s %-8s %12s %12s\n", "samples", "encode", "write ms", "speedup");
-  double base_ms = 0;
-  for (const int workers : {0, 1, 2, 4, 8}) {  // 0 = inline baseline
-    provml::storage::SinkOptions options;
-    provml::common::ThreadPool pool(workers == 0 ? 1 : static_cast<unsigned>(workers));
-    options.encode_pool = &pool;
-    options.inline_encode = workers == 0;
-    const std::string p = (root / ("enc" + std::to_string(workers) + ".zarr")).string();
-    double best = 1e18;  // best-of-3, like the other ablations
-    for (int rep = 0; rep < 3; ++rep) {
-      const double ms = time_sink_write(store, samples, options, p);
-      if (ms >= 0 && ms < best) best = ms;
-    }
-    if (workers == 0) base_ms = best;
-    char label[16];
-    if (workers == 0) {
-      std::snprintf(label, sizeof label, "inline");
-    } else {
-      std::snprintf(label, sizeof label, "pool x%d", workers);
-    }
-    std::printf("%-10zu %-8s %12.1f %11.2fx\n", samples.size(), label, best,
-                base_ms / best);
   }
 
   fs::remove_all(root);

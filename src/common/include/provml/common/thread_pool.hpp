@@ -1,9 +1,6 @@
-// Fixed-size worker pool with a shared task queue. One process-wide pool
-// (shared()) serves every subsystem that wants background CPU work — the
-// zarr sink's parallel chunk encoding, the sweep engine's scaling-study
-// grid — so thread count stays bounded no matter how many runs or sweeps
-// are live. Callers that need an isolated pool (benches sweeping worker
-// counts) construct their own.
+// Fixed-size worker pool with a shared task queue. The sweep engine builds
+// one per run_sweep() call to train the scaling-study grid's cells in
+// parallel; the pool lives exactly as long as that call.
 #pragma once
 
 #include <condition_variable>
@@ -26,10 +23,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// The process-wide pool, created on first use and sized to the
-  /// hardware. Never destroyed before main() returns.
-  static ThreadPool& shared();
 
   /// Enqueues a task; the future resolves with its result (or exception).
   template <typename F>

@@ -23,11 +23,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool;
-  return pool;
-}
-
 void ThreadPool::worker_loop() {
   while (true) {
     std::function<void()> task;

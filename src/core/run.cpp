@@ -88,8 +88,7 @@ void Run::open_stream() {
   }
   Expected<std::unique_ptr<storage::MetricSink>> sink =
       stream_store_->open_sink(metric_store_path(),
-                               {.durable = true,
-                                .chunk_length = options_.flush_chunk_length});
+                               {.chunk_length = options_.flush_chunk_length});
   if (!sink.ok()) {
     stream_status_ = sink.error();
     return;

@@ -112,8 +112,9 @@ class YProvHttpApp {
     std::string body;
   };
 
-  [[nodiscard]] bool cache_lookup(const CacheKey& key, CacheEntry& out);
-  void cache_store(CacheKey key, const CacheEntry& entry);
+  /// On a hit, copies the cached status and body into `response`.
+  [[nodiscard]] bool cache_lookup(const CacheKey& key, HttpResponse& response);
+  void cache_store(CacheKey key, CacheEntry entry);
   [[nodiscard]] HttpResponse health_response(const HttpRequest& request);
 
   Options options_;

@@ -58,19 +58,20 @@ YProvHttpApp::Counters YProvHttpApp::counters() const {
   return c;
 }
 
-bool YProvHttpApp::cache_lookup(const CacheKey& key, CacheEntry& out) {
+bool YProvHttpApp::cache_lookup(const CacheKey& key, HttpResponse& response) {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_map_.find(key);
   if (it == cache_map_.end()) return false;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  out = *it->second;
+  response.status = it->second->status;
+  response.body = it->second->body;
   return true;
 }
 
-void YProvHttpApp::cache_store(CacheKey key, const CacheEntry& entry) {
+void YProvHttpApp::cache_store(CacheKey key, CacheEntry entry) {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   if (cache_map_.count(key) != 0) return;  // another worker raced us to it
-  lru_.push_front(entry);
+  lru_.push_front(std::move(entry));
   lru_.front().key = key;  // eviction erases the map entry by this key
   cache_map_.emplace(std::move(key), lru_.begin());
   while (lru_.size() > options_.cache_capacity) {
@@ -198,14 +199,11 @@ HttpResponse YProvHttpApp::handle(const HttpRequest& request) {
 
     const bool cacheable = read_route && options_.cache_capacity > 0;
     CacheKey key;
-    CacheEntry entry;
     if (!not_modified && cacheable) {
       key = CacheKey{version, path, is_query ? request.body : std::string()};
-      cache_hit = cache_lookup(key, entry);
+      cache_hit = cache_lookup(key, response);
       if (cache_hit) {
         ++cache_hits_;
-        response.status = entry.status;
-        response.body = entry.body;
       } else {
         ++cache_misses_;
       }
@@ -223,9 +221,7 @@ HttpResponse YProvHttpApp::handle(const HttpRequest& request) {
         response.headers.push_back({"Allow", routed.allow});
       }
       if (cacheable && response.status == 200 && !no_store) {
-        entry.status = response.status;
-        entry.body = response.body;
-        cache_store(std::move(key), entry);
+        cache_store(std::move(key), CacheEntry{{}, response.status, response.body});
       }
     }
     if (!not_modified && response.status == 200 && read_route && !no_store) {

@@ -4,10 +4,14 @@
 // append every sample, seal" — so streaming and batch writes produce
 // byte-identical stores by construction.
 //
-// Durability contract (SinkOptions::durable):
-//   * Chunked stores (zarr) publish every completed chunk with
-//     write_file_atomic and then refresh their metadata, so a process
-//     killed mid-run leaves a store whose sealed prefix reads back.
+// Durability contract:
+//   * Chunked stores (zarr) write every completed chunk with
+//     write_file_atomic before the append that completed it returns, and
+//     flush() republishes their metadata to cover those chunks, so a
+//     process killed mid-run leaves a store whose flushed prefix reads
+//     back. A writer that never calls flush() (the batch
+//     MetricStore::write()) publishes its metadata once, at seal(), so a
+//     failed overwrite never exposes a half-new store.
 //   * Single-file stores (json, netcdf) cannot append durably; they
 //     buffer in the sink and publish one atomic file at seal(). A crash
 //     before seal() loses the metrics but never leaves a torn file.
@@ -20,34 +24,14 @@
 #include "provml/common/expected.hpp"
 #include "provml/storage/series.hpp"
 
-namespace provml::common {
-class ThreadPool;
-}  // namespace provml::common
-
 namespace provml::storage {
 
 struct SinkOptions {
-  /// Publish completed chunks + metadata incrementally so a killed run
-  /// leaves a readable prefix. Only meaningful for chunked stores; batch
-  /// MetricStore::write() keeps it off so a failed overwrite never
-  /// exposes a half-new store (the final metadata write stays the commit
-  /// point, as before).
-  bool durable = false;
-
-  /// Worker pool for parallel chunk encoding in chunked stores.
-  /// nullptr selects common::ThreadPool::shared().
-  common::ThreadPool* encode_pool = nullptr;
-
   /// Chunked stores: samples per on-disk chunk, overriding the store's
   /// configured default (0 keeps the default). The streaming run path sets
   /// this to its flush granularity so durability advances with each flush
   /// instead of waiting for the store's (much larger) batch chunk size.
   std::size_t chunk_length = 0;
-
-  /// Encode chunk payloads on the calling thread instead of the pool.
-  /// The single-threaded baseline for the streaming ablation, and the
-  /// right choice for small writes where pool handoff outweighs overlap.
-  bool inline_encode = false;
 };
 
 /// Append-oriented writer for one store file/directory. Not thread-safe:
@@ -72,8 +56,8 @@ class MetricSink {
   [[nodiscard]] virtual Status append_block(std::size_t series, const MetricSample* samples,
                                             std::size_t count);
 
-  /// Pushes completed work to disk where the format allows it (chunked
-  /// stores write pending chunks and refresh metadata when durable).
+  /// Publishes completed work where the format allows it (chunked stores
+  /// refresh their metadata to cover every chunk written so far).
   /// No-op for buffering sinks.
   [[nodiscard]] virtual Status flush() = 0;
 

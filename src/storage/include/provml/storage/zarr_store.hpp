@@ -27,12 +27,12 @@ class ZarrMetricStore final : public MetricStore {
   [[nodiscard]] std::string format_name() const override { return "zarr"; }
   [[nodiscard]] std::string path_suffix() const override { return ".zarr"; }
 
-  /// Chunked streaming sink. Chunk payloads are encoded on the worker pool
-  /// (SinkOptions::encode_pool, default the shared pool) and written in
-  /// order via write_file_atomic. With SinkOptions::durable the sink also
-  /// refreshes .zarray/.zattrs after every batch of completed chunks, so a
-  /// killed process leaves a readable sample prefix; without it the final
-  /// .zattrs written at seal() stays the all-or-nothing commit point.
+  /// Chunked streaming sink. Each completed chunk's three columns are
+  /// encoded and written with write_file_atomic on the appending thread.
+  /// flush() refreshes .zarray/.zattrs to cover the chunks on disk, so a
+  /// killed process leaves a readable sample prefix; a writer that never
+  /// flushes keeps the final .zattrs written at seal() as its
+  /// all-or-nothing commit point.
   [[nodiscard]] Expected<std::unique_ptr<MetricSink>> open_sink(
       const std::string& path, const SinkOptions& options = {}) const override;
 

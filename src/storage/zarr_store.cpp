@@ -2,15 +2,12 @@
 
 #include <cctype>
 #include <cstring>
-#include <deque>
 #include <filesystem>
-#include <future>
 #include <map>
 #include <span>
 #include <utility>
 
 #include "provml/common/file_io.hpp"
-#include "provml/common/thread_pool.hpp"
 #include "provml/compress/container.hpp"
 #include "provml/compress/varint.hpp"
 #include "provml/json/parse.hpp"
@@ -97,10 +94,8 @@ json::Value zarray_json(std::uint64_t shape, std::size_t chunk_length, int colum
 
 /// Streaming writer for the chunked directory layout. Appends stage into a
 /// per-series buffer; each time a buffer reaches chunk_length the chunk's
-/// three columns are handed to the worker pool for encoding, and the
-/// resulting container frames are written strictly in submission order —
-/// encode concurrently, publish sequentially, so the on-disk prefix is
-/// always contiguous.
+/// three columns are encoded and written on the calling thread before the
+/// append returns, so the on-disk prefix is always contiguous.
 class ZarrMetricSink final : public MetricSink {
  public:
   ZarrMetricSink(std::string root, const ZarrOptions& options, const SinkOptions& sink_options)
@@ -108,11 +103,7 @@ class ZarrMetricSink final : public MetricSink {
         chunk_length_(sink_options.chunk_length != 0 ? sink_options.chunk_length
                                                      : options.chunk_length),
         codec_(options.compress ? options.codec : "raw"),
-        int_codec_(options.compress ? options.int_codec : "raw"),
-        durable_(sink_options.durable),
-        inline_encode_(sink_options.inline_encode),
-        pool_(sink_options.encode_pool != nullptr ? *sink_options.encode_pool
-                                                  : common::ThreadPool::shared()) {}
+        int_codec_(options.compress ? options.int_codec : "raw") {}
 
   /// Claims the directory: overwrite semantics, like the batch writer.
   Status open() {
@@ -164,13 +155,8 @@ class ZarrMetricSink final : public MetricSink {
   }
 
   Status flush() override {
-    if (sealed_) return Status::ok_status();
-    Status st = drain(0);
-    if (!st.ok()) return st;
-    if (durable_ && (metadata_dirty_ || !attrs_written_)) {
-      return publish_metadata(/*final_shape=*/false);
-    }
-    return Status::ok_status();
+    if (sealed_ || (!metadata_dirty_ && attrs_written_)) return Status::ok_status();
+    return publish_metadata(/*final_shape=*/false);
   }
 
   Status seal() override {
@@ -183,9 +169,7 @@ class ZarrMetricSink final : public MetricSink {
         if (!st.ok()) return st;
       }
     }
-    Status st = drain(0);
-    if (!st.ok()) return st;
-    st = publish_metadata(/*final_shape=*/true);
+    Status st = publish_metadata(/*final_shape=*/true);
     if (!st.ok()) return st;
     sealed_ = true;
     return Status::ok_status();
@@ -199,19 +183,10 @@ class ZarrMetricSink final : public MetricSink {
     std::string dir;
     std::vector<MetricSample> staged;  ///< samples not yet in a sealed chunk
     std::uint64_t total = 0;           ///< samples appended
-    std::uint64_t sealed = 0;          ///< samples handed to the encoder
-    std::uint64_t durable = 0;         ///< samples whose chunk triple is on disk
+    std::uint64_t sealed = 0;          ///< samples whose chunk triple is on disk
     std::uint64_t published = 0;       ///< length covered by on-disk .zarray
-    std::size_t chunks = 0;            ///< chunks handed to the encoder
+    std::size_t chunks = 0;            ///< chunks sealed; names the next chunk file
     bool dirs_created = false;
-  };
-
-  struct PendingWrite {
-    std::string path;
-    std::future<Expected<Bytes>> encoded;
-    std::size_t series = 0;
-    std::uint64_t covers = 0;   ///< durable samples once this triple completes
-    bool completes_chunk = false;  ///< true on the value column
   };
 
   Status ensure_dirs(SeriesState& s) {
@@ -227,67 +202,36 @@ class ZarrMetricSink final : public MetricSink {
     return Status::ok_status();
   }
 
-  /// Moves the staged buffer into three encode jobs on the pool and queues
-  /// their outputs for in-order writing.
+  /// Encodes the staged buffer's step, timestamp and value columns and
+  /// writes each as the series' next chunk file.
   Status seal_chunk(std::size_t idx) {
     SeriesState& s = series_[idx];
     Status st = ensure_dirs(s);
     if (!st.ok()) return st;
-    const auto samples =
-        std::make_shared<const std::vector<MetricSample>>(std::move(s.staged));
+    const std::vector<MetricSample> samples = std::move(s.staged);
     s.staged = {};
-    const std::size_t chunk = s.chunks++;
-    s.sealed += samples->size();
-    const std::uint64_t covers = s.sealed;
+    const std::string chunk = std::to_string(s.chunks++);
     for (int column = 0; column < 3; ++column) {
-      const std::string col_codec = column == 2 ? codec_ : int_codec_;
-      PendingWrite w;
-      w.path = (fs::path(root_) / s.dir / kColumns[column] / std::to_string(chunk)).string();
-      if (inline_encode_) {
-        std::promise<Expected<Bytes>> ready;
-        ready.set_value(compress::pack(column_chunk_bytes(*samples, column), col_codec));
-        w.encoded = ready.get_future();
-      } else {
-        w.encoded = pool_.submit([samples, column, col_codec] {
-          return compress::pack(column_chunk_bytes(*samples, column), col_codec);
-        });
-      }
-      w.series = idx;
-      w.covers = covers;
-      w.completes_chunk = column == 2;
-      pending_.push_back(std::move(w));
-    }
-    // Bound in-flight encoded chunks so a huge batch write cannot hold the
-    // whole store in memory: leave roughly one wave per worker queued.
-    const std::size_t limit = 3 * (pool_.worker_count() + 1);
-    return pending_.size() > limit ? drain(limit) : Status::ok_status();
-  }
-
-  /// Writes queued chunk files oldest-first until at most `keep` remain.
-  Status drain(std::size_t keep) {
-    while (pending_.size() > keep) {
-      PendingWrite w = std::move(pending_.front());
-      pending_.pop_front();
-      Expected<Bytes> packed = w.encoded.get();
+      Expected<Bytes> packed =
+          compress::pack(column_chunk_bytes(samples, column), column == 2 ? codec_ : int_codec_);
       if (!packed.ok()) return packed.error();
-      Status st = io::write_file_atomic(w.path, packed.value());
+      st = io::write_file_atomic((fs::path(root_) / s.dir / kColumns[column] / chunk).string(),
+                                 packed.value());
       if (!st.ok()) return st;
-      if (w.completes_chunk && w.covers > series_[w.series].durable) {
-        series_[w.series].durable = w.covers;
-        metadata_dirty_ = true;
-      }
     }
+    s.sealed += samples.size();
+    metadata_dirty_ = true;
     return Status::ok_status();
   }
 
-  /// Publishes .zarray for every series (shape = durable prefix, or the
+  /// Publishes .zarray for every series (shape = sealed prefix, or the
   /// full total at seal) and then the .zattrs listing — last, so it stays
   /// the batch commit point and, when streaming, never declares samples
   /// whose chunks are not on disk yet.
   Status publish_metadata(bool final_shape) {
     json::Array listing;
     for (SeriesState& s : series_) {
-      const std::uint64_t len = final_shape ? s.total : s.durable;
+      const std::uint64_t len = final_shape ? s.total : s.sealed;
       if (len != s.published || !attrs_written_ || final_shape) {
         Status st = ensure_dirs(s);
         if (!st.ok()) return st;
@@ -320,13 +264,9 @@ class ZarrMetricSink final : public MetricSink {
   std::size_t chunk_length_;
   std::string codec_;
   std::string int_codec_;
-  bool durable_;
-  bool inline_encode_ = false;
-  common::ThreadPool& pool_;
 
   std::vector<SeriesState> series_;
   std::map<std::pair<std::string, std::string>, std::size_t> index_;  // (ctx, name)
-  std::deque<PendingWrite> pending_;
   bool attrs_written_ = false;
   bool metadata_dirty_ = false;
   bool sealed_ = false;

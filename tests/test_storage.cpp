@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <map>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "provml/common/file_io.hpp"
+#include "provml/compress/crc32.hpp"
 #include "provml/storage/json_store.hpp"
 #include "provml/storage/netcdf_store.hpp"
 #include "provml/storage/series.hpp"
 #include "provml/storage/store.hpp"
 #include "provml/storage/zarr_store.hpp"
+#include "provml/testkit/gen.hpp"
+#include "provml/testkit/rng.hpp"
 
 namespace provml::storage {
 namespace {
@@ -240,6 +249,107 @@ TEST_F(StorageTest, ZarrCorruptChunkDetected) {
   data[data.size() / 2] ^= 0xFF;
   ASSERT_TRUE(::provml::io::write_file_atomic(chunk.string(), data).ok());
   EXPECT_FALSE(store.read(p).ok());
+}
+
+/// Size and CRC-32 of every regular file under `root`, keyed by its path
+/// relative to root.
+std::map<std::string, std::pair<std::uint64_t, std::uint32_t>> file_digests(
+    const std::string& root) {
+  std::map<std::string, std::pair<std::uint64_t, std::uint32_t>> out;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    auto data = ::provml::io::read_file(entry.path().string());
+    EXPECT_TRUE(data.ok()) << entry.path();
+    if (!data.ok()) continue;
+    out[fs::relative(entry.path(), root).generic_string()] = {data.value().size(),
+                                                              compress::crc32(data.value())};
+  }
+  return out;
+}
+
+// The Zarr bytes, pinned: a fixed generated set, written batch and streamed
+// with a flush() after every chunk, must reproduce this table of file sizes
+// and CRC-32s. A rewrite of the sink or the codecs that changes one stored
+// byte fails here; regenerate the table only for a deliberate format change.
+TEST_F(StorageTest, ZarrStoreBytesArePinned) {
+  struct PinnedFile {
+    const char* path;
+    std::uint64_t size;
+    std::uint32_t crc;
+  };
+  static constexpr PinnedFile kPinned[] = {
+      {".zattrs", 191, 0x890292b8},
+      {".zgroup", 18, 0x2f1588f1},
+      {"s0_TRAINING_h439_6t0/step/.zarray", 113, 0x8d3b526b},
+      {"s0_TRAINING_h439_6t0/step/0", 40, 0x999ba01a},
+      {"s0_TRAINING_h439_6t0/timestamp/.zarray", 113, 0x8d3b526b},
+      {"s0_TRAINING_h439_6t0/timestamp/0", 65, 0x751d1066},
+      {"s0_TRAINING_h439_6t0/value/.zarray", 107, 0xec33e407},
+      {"s0_TRAINING_h439_6t0/value/0", 30, 0xc613e792},
+      {"s1_TESTING_vm1/step/.zarray", 114, 0x737016c9},
+      {"s1_TESTING_vm1/step/0", 85, 0x22b9d86b},
+      {"s1_TESTING_vm1/step/1", 86, 0x023499ad},
+      {"s1_TESTING_vm1/step/2", 73, 0x025189c7},
+      {"s1_TESTING_vm1/timestamp/.zarray", 114, 0x737016c9},
+      {"s1_TESTING_vm1/timestamp/0", 166, 0xdb561323},
+      {"s1_TESTING_vm1/timestamp/1", 165, 0x0783b645},
+      {"s1_TESTING_vm1/timestamp/2", 135, 0x773ca7e6},
+      {"s1_TESTING_vm1/value/.zarray", 108, 0x426d7262},
+      {"s1_TESTING_vm1/value/0", 565, 0x0b254107},
+      {"s1_TESTING_vm1/value/1", 545, 0xe0f9c55a},
+      {"s1_TESTING_vm1/value/2", 480, 0xce81b46a},
+  };
+  constexpr std::size_t kChunk = 64;
+  testkit::Rng rng(3);
+  const MetricSet set = testkit::gen_metric_set(rng, {.max_series = 4, .max_samples = 300});
+  const ZarrMetricStore store(ZarrOptions{.chunk_length = kChunk});
+
+  const std::string batch = path("pin_batch.zarr");
+  ASSERT_TRUE(store.write(set, batch).ok());
+
+  const std::string streamed = path("pin_stream.zarr");
+  {
+    auto sink = store.open_sink(streamed);
+    ASSERT_TRUE(sink.ok());
+    std::vector<std::size_t> ids;
+    for (const MetricSeries& series : set.all()) {
+      auto id = sink.value()->declare_series(series.name, series.context, series.unit);
+      ASSERT_TRUE(id.ok());
+      ids.push_back(id.value());
+    }
+    std::size_t longest = 0;
+    for (const MetricSeries& series : set.all()) {
+      longest = std::max(longest, series.samples.size());
+    }
+    for (std::size_t begin = 0; begin < longest; begin += kChunk) {
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        const std::vector<MetricSample>& samples = set.all()[k].samples;
+        if (begin >= samples.size()) continue;
+        const std::size_t count = std::min(kChunk, samples.size() - begin);
+        ASSERT_TRUE(sink.value()->append_block(ids[k], samples.data() + begin, count).ok());
+        ASSERT_TRUE(sink.value()->flush().ok());
+      }
+    }
+    ASSERT_TRUE(sink.value()->seal().ok());
+  }
+
+  for (const std::string& root : {batch, streamed}) {
+    const auto digests = file_digests(root);
+    std::string table;
+    for (const auto& [file, digest] : digests) {
+      char row[160];
+      std::snprintf(row, sizeof row, "      {\"%s\", %llu, 0x%08x},\n", file.c_str(),
+                    static_cast<unsigned long long>(digest.first), digest.second);
+      table += row;
+    }
+    ASSERT_EQ(digests.size(), std::size(kPinned)) << root << " holds:\n" << table;
+    for (const PinnedFile& pinned : kPinned) {
+      const auto it = digests.find(pinned.path);
+      ASSERT_NE(it, digests.end()) << root << " lacks " << pinned.path;
+      EXPECT_EQ(it->second.first, pinned.size) << root << ": " << pinned.path;
+      EXPECT_EQ(it->second.second, pinned.crc) << root << ": " << pinned.path;
+    }
+  }
 }
 
 // ------------------------------------------------------------- netcdf extra

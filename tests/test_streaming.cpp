@@ -1,5 +1,5 @@
 // The streaming write path: MetricSink equivalence with batch writes,
-// crash consistency of the durable zarr sink under fault injection, and
+// crash consistency of the zarr sink under fault injection, and
 // the Run-level streaming mode (log_metric → flusher → sink).
 // Labeled `stream` in ctest: `ctest -L stream`.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "provml/common/file_io.hpp"
-#include "provml/common/thread_pool.hpp"
 #include "provml/core/run.hpp"
 #include "provml/storage/json_store.hpp"
 #include "provml/storage/netcdf_store.hpp"
@@ -65,9 +64,11 @@ std::vector<std::uint8_t> file_contents(const std::string& p) {
 /// Streams `set` through a sink sample-by-sample in round-robin order
 /// across series — the interleaving a real training loop produces — and
 /// seals. Series are declared in MetricSet order, like the batch writer.
+/// A nonzero `flush_every` flushes the sink after every that many rounds,
+/// as a streaming run's flusher does.
 Status stream_interleaved(const MetricStore& store, const MetricSet& set,
-                          const std::string& p, const SinkOptions& options = {}) {
-  auto sink = store.open_sink(p, options);
+                          const std::string& p, std::size_t flush_every = 0) {
+  auto sink = store.open_sink(p);
   if (!sink.ok()) return sink.error();
   std::vector<std::size_t> ids;
   for (const MetricSeries& series : set.all()) {
@@ -86,6 +87,10 @@ Status stream_interleaved(const MetricStore& store, const MetricSet& set,
         more = true;
       }
       ++k;
+    }
+    if (flush_every != 0 && (i + 1) % flush_every == 0) {
+      Status s = sink.value()->flush();
+      if (!s.ok()) return s;
     }
   }
   return sink.value()->seal();
@@ -110,9 +115,10 @@ TEST_F(StreamingTest, StreamedZarrMatchesBatchBytes) {
 }
 
 TEST_F(StreamingTest, StreamedDurableZarrMatchesBatchBytes) {
-  // Durable mode publishes intermediate metadata during the run but every
-  // intermediate file is overwritten atomically; the sealed store must be
-  // indistinguishable from a batch write.
+  // Every zarr sink is durable: each flush() publishes intermediate
+  // metadata during the run, but every intermediate file is overwritten
+  // atomically; the sealed store must be indistinguishable from a batch
+  // write. Flushing every 8 rounds lands both on and between chunk ends.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     testkit::Rng rng(seed);
     const MetricSet set = testkit::gen_metric_set(rng);
@@ -120,7 +126,7 @@ TEST_F(StreamingTest, StreamedDurableZarrMatchesBatchBytes) {
     const std::string batch = path("dbatch_" + std::to_string(seed) + ".zarr");
     const std::string streamed = path("dstream_" + std::to_string(seed) + ".zarr");
     ASSERT_TRUE(store.write(set, batch).ok());
-    ASSERT_TRUE(stream_interleaved(store, set, streamed, {.durable = true}).ok());
+    ASSERT_TRUE(stream_interleaved(store, set, streamed, 8).ok());
     EXPECT_EQ(dir_contents(batch), dir_contents(streamed)) << "seed " << seed;
   }
 }
@@ -147,19 +153,6 @@ TEST_F(StreamingTest, StreamedJsonMatchesBatchBytes) {
   EXPECT_EQ(file_contents(path("batch.json")), file_contents(path("stream.json")));
 }
 
-TEST_F(StreamingTest, EncodePoolSizeDoesNotChangeBytes) {
-  testkit::Rng rng(11);
-  const MetricSet set = testkit::gen_metric_set(rng, {.max_series = 3, .max_samples = 2000});
-  ZarrMetricStore store(ZarrOptions{.chunk_length = 128});
-  ASSERT_TRUE(store.write(set, path("shared.zarr")).ok());
-  for (unsigned workers : {1u, 4u}) {
-    common::ThreadPool pool(workers);
-    const std::string p = path("pool" + std::to_string(workers) + ".zarr");
-    ASSERT_TRUE(stream_interleaved(store, set, p, {.encode_pool = &pool}).ok());
-    EXPECT_EQ(dir_contents(path("shared.zarr")), dir_contents(p)) << workers << " workers";
-  }
-}
-
 TEST_F(StreamingTest, EmptyAndDegenerateSetsMatch) {
   ZarrMetricStore store;
   MetricSet empty;
@@ -184,6 +177,36 @@ TEST_F(StreamingTest, SinkRejectsUseAfterSeal) {
   ASSERT_TRUE(sink.value()->seal().ok());  // idempotent
   EXPECT_FALSE(sink.value()->append(id.value(), {0, 0, 1.0}).ok());
   EXPECT_FALSE(sink.value()->declare_series("x", "TRAINING", "").ok());
+}
+
+TEST_F(StreamingTest, FlushPublishesEveryCompletedChunk) {
+  // Before seal(), a flush() publishes metadata for every chunk the sink
+  // has written, and only for those: the 8-sample tail is still staged.
+  ZarrMetricStore store(ZarrOptions{.chunk_length = 16});
+  const std::string p = path("flushed.zarr");
+  auto sink = store.open_sink(p);
+  ASSERT_TRUE(sink.ok());
+  auto id = sink.value()->declare_series("loss", "TRAINING", "");
+  ASSERT_TRUE(id.ok());
+  std::vector<MetricSample> samples;
+  for (std::int64_t i = 0; i < 40; ++i) samples.push_back({i, 1000 + i, 0.25 * i});
+  ASSERT_TRUE(sink.value()->append_block(id.value(), samples.data(), samples.size()).ok());
+  ASSERT_TRUE(sink.value()->flush().ok());
+
+  const std::vector<MetricSample> completed(samples.begin(), samples.begin() + 32);
+  auto flushed = store.read(p);
+  ASSERT_TRUE(flushed.ok()) << flushed.error().to_string();
+  ASSERT_EQ(flushed.value().size(), 1u);
+  EXPECT_EQ(flushed.value().all()[0].samples, completed);
+  auto partial = store.read_series(p, "loss", "TRAINING");
+  ASSERT_TRUE(partial.ok()) << partial.error().to_string();
+  EXPECT_EQ(partial.value().samples, completed);
+
+  ASSERT_TRUE(sink.value()->seal().ok());
+  auto sealed = store.read(p);
+  ASSERT_TRUE(sealed.ok()) << sealed.error().to_string();
+  ASSERT_EQ(sealed.value().size(), 1u);
+  EXPECT_EQ(sealed.value().all()[0].samples, samples);
 }
 
 // ------------------------------------------------------- crash consistency
